@@ -35,6 +35,7 @@ from .core import (
     enumerate_qs,
     is_quasi_stirling,
     is_stirling,
+    qs_count,
     qs_polynomial,
     stats,
     word_from_text,
@@ -122,6 +123,7 @@ __all__ = [
     "phi_inv",
     "psi",
     "psi_inv",
+    "qs_count",
     "qs_polynomial",
     "qs_polynomial_from_series",
     "render_path_cycle",

@@ -5,392 +5,18 @@ of one word or tree), poly (the joint statistic polynomial), map (apply
 one of the named maps), verify (check one identity or run the whole
 suite), count (closed-form family size). Output is deterministic;
 enumerate and map print plain lines by default, the data-shaped verbs
-print JSON. Exit codes: 0 success, 1 a verified identity failed, 2
-invalid input.
+print JSON. The identity checks themselves live in `verify`.
+
+Exit codes: 0 success; 1 a verified identity failed; 2 invalid input,
+including a single check that has no case to run; 3 an unexpected
+error inside the package.
 """
 
 import argparse
 import json
 import sys
-from collections import Counter
 
-from . import bijections, core, excedance, genfun, trees
-
-_DEFAULT_MAX_K = 5
-_DEFAULT_ORDER = 8
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def _all_specs(max_K):
-    out = []
-    for K in range(1, max_K + 1):
-        for mult in _compositions(K):
-            out.append(core.MultisetSpec(mult))
-    return out
-
-
-def _verdict(cases, failures):
-    details = {"cases": cases}
-    if failures:
-        details["failure_count"] = len(failures)
-        details["failures"] = sorted(failures)[:5]
-    return not failures, details
-
-
-def _specs_for(args):
-    if args.mult:
-        return [core.MultisetSpec.from_text(args.mult)]
-    return _all_specs(args.max_K or _DEFAULT_MAX_K)
-
-
-def _mn_pairs_for(args):
-    if args.mult:
-        mult = core.MultisetSpec.from_text(args.mult).mult
-        if len(mult) != 2:
-            raise ValueError("this check takes --mult m,n (two numbers)")
-        return [mult]
-    cap = args.max_K or _DEFAULT_MAX_K
-    return [
-        (m, n)
-        for m in range(1, cap + 1)
-        for n in range(1, cap + 1)
-        if m + n - 1 <= cap
-    ]
-
-
-def _check_tree_word(args):
-    """phi: bijection onto the word family, carrying all five statistics."""
-    cases = 0
-    failures = []
-    for spec in _specs_for(args):
-        words = []
-        for t in trees.enumerate_trees(spec):
-            cases += 1
-            w = bijections.phi(t)
-            ts = trees.tree_stats(t)
-            ws = core.stats(w)
-            if (ts.cdes, ts.casc, ts.eleaf, ts.first, ts.last) != (
-                ws.des,
-                ws.asc,
-                ws.plat,
-                w[0],
-                w[-1],
-            ):
-                failures.append(
-                    "statistics mismatch at tree %s" % trees.render_tree(t)
-                )
-            if bijections.phi_inv(w) != t:
-                failures.append("round trip failed at tree %s" % trees.render_tree(t))
-            words.append(w)
-        if sorted(words) != sorted(core.enumerate_qs(spec)) or len(set(words)) != len(
-            words
-        ):
-            failures.append(
-                "phi image over %s is not the whole word family" % spec.to_text()
-            )
-    return _verdict(cases, failures)
-
-
-def _check_shift(args):
-    """psi: invertible, statistic-preserving, onto the shifted family."""
-    cases = 0
-    failures = []
-    for spec in _specs_for(args):
-        source = list(trees.enumerate_trees(spec))
-        for j in range(2, spec.n + 1):
-            if spec.mult[j - 1] < 2:
-                continue
-            shifted = list(spec.mult)
-            shifted[j - 2] += 1
-            shifted[j - 1] -= 1
-            target = core.MultisetSpec(tuple(shifted))
-            images = set()
-            for t in source:
-                cases += 1
-                tag = "%s j=%d" % (trees.render_tree(t), j)
-                try:
-                    t2 = bijections.psi(t, j)
-                except ValueError as e:
-                    failures.append("psi failed at %s: %s" % (tag, e))
-                    continue
-                if not trees.validate_tree(t2, target):
-                    failures.append("psi image invalid at %s" % tag)
-                    continue
-                s1 = trees.tree_stats(t)
-                s2 = trees.tree_stats(t2)
-                if (s1.cdes, s1.casc, s1.eleaf) != (s2.cdes, s2.casc, s2.eleaf):
-                    failures.append("psi statistics changed at %s" % tag)
-                try:
-                    back = bijections.psi_inv(t2, j)
-                except ValueError as e:
-                    failures.append("psi_inv failed at %s: %s" % (tag, e))
-                    continue
-                if back != t:
-                    failures.append("psi round trip failed at %s" % tag)
-                images.add(t2)
-            if len(images) != len(source):
-                failures.append(
-                    "psi is not onto over %s at j=%d" % (spec.to_text(), j)
-                )
-    return _verdict(cases, failures)
-
-
-def _check_flatten(args):
-    """big_phi: bijection onto the flattened family, triple preserved."""
-    cases = 0
-    failures = []
-    for spec in _specs_for(args):
-        flat = bijections.flattened_spec(spec)
-        images = set()
-        for w in core.enumerate_qs(spec):
-            cases += 1
-            tag = core.word_to_text(w)
-            try:
-                w2 = bijections.big_phi(w)
-            except ValueError as e:
-                failures.append("big_phi failed at %s: %s" % (tag, e))
-                continue
-            if core.stats(w) != core.stats(w2):
-                failures.append("statistic triple changed at %s" % tag)
-            try:
-                back = bijections.big_phi_inv(w2, spec)
-            except ValueError as e:
-                failures.append("big_phi_inv failed at %s: %s" % (tag, e))
-                continue
-            if back != w:
-                failures.append("big_phi round trip failed at %s" % tag)
-            images.add(w2)
-        if images != set(core.enumerate_qs(flat)):
-            failures.append(
-                "flattened image over %s is not the whole family" % spec.to_text()
-            )
-    return _verdict(cases, failures)
-
-
-def _check_composition_invariance(args):
-    """Equal-(n, K) multisets share the joint statistic polynomial."""
-    cases = 0
-    failures = []
-    if args.mult:
-        base = core.MultisetSpec.from_text(args.mult)
-        specs = [
-            core.MultisetSpec(m)
-            for m in _compositions(base.K)
-            if len(m) == base.n
-        ]
-    else:
-        specs = _all_specs(args.max_K or _DEFAULT_MAX_K)
-    classes = {}
-    for spec in specs:
-        classes.setdefault((spec.n, spec.K), []).append(spec)
-    for (n, K), members in sorted(classes.items()):
-        ref = None
-        ref_spec = None
-        for spec in members:
-            cases += 1
-            poly = core.qs_polynomial(spec)
-            if ref is None:
-                ref, ref_spec = poly, spec
-            elif poly != ref:
-                failures.append(
-                    "distribution over %s differs from %s"
-                    % (spec.to_text(), ref_spec.to_text())
-                )
-    return _verdict(cases, failures)
-
-
-def _check_descent_excedance(args):
-    """Words with des = d+1 match injections with exc = d."""
-    cases = 0
-    failures = []
-    for spec in _specs_for(args):
-        cases += 1
-        des_hist = Counter(core.stats(w).des for w in core.enumerate_qs(spec))
-        exc_hist = Counter(
-            excedance.exc(s)
-            for s in excedance.enumerate_J(spec.K, spec.K - spec.n + 1)
-        )
-        if des_hist != Counter({d + 1: c for d, c in exc_hist.items()}):
-            failures.append("histograms differ over %s" % spec.to_text())
-    return _verdict(cases, failures)
-
-
-def _check_max_descent(args):
-    """Closed count of maximally descending words vs brute force."""
-    cases = 0
-    failures = []
-    single = None
-    for spec in _specs_for(args):
-        cases += 1
-        expected = genfun.max_descent_count(spec)
-        got = sum(1 for w in core.enumerate_qs(spec) if core.stats(w).des == spec.n)
-        single = (expected, got)
-        if got != expected:
-            failures.append(
-                "count over %s: expected %d, got %d" % (spec.to_text(), expected, got)
-            )
-    ok, details = _verdict(cases, failures)
-    if args.mult and single is not None:
-        details["expected"] = single[0]
-        details["got"] = single[1]
-        details["report"] = "expected %d, got %d" % single
-    return ok, details
-
-
-def _check_poly_extraction(args):
-    """Series coefficient extraction equals the brute-force polynomial."""
-    cases = 0
-    failures = []
-    for spec in _specs_for(args):
-        cases += 1
-        if genfun.qs_polynomial_from_series(spec) != core.qs_polynomial(spec):
-            failures.append("polynomials differ over %s" % spec.to_text())
-    return _verdict(cases, failures)
-
-
-def _check_descent_series(args):
-    """Closed-form and convolved descent series coefficients agree."""
-    cases = 0
-    failures = []
-    order = args.order or _DEFAULT_ORDER
-    for spec in _specs_for(args):
-        cases += 1
-        lhs, rhs = genfun.descent_series_coefficients(spec, order)
-        if lhs != rhs:
-            failures.append("series sides differ over %s" % spec.to_text())
-    return _verdict(cases, failures)
-
-
-def _check_tuple_poly(args):
-    """Unanchored tuple polynomial: brute force vs extraction."""
-    cases = 0
-    failures = []
-    for m, n in _mn_pairs_for(args):
-        cases += 1
-        if genfun.perm_tuple_polynomial(m, n) != genfun.perm_tuple_polynomial_formula(
-            m, n
-        ):
-            failures.append("tuple polynomial differs at m=%d, n=%d" % (m, n))
-    return _verdict(cases, failures)
-
-
-def _check_anchored_tuple_poly(args):
-    """Anchored tuple polynomial: brute force, extraction, and the word
-    polynomial of the flattened multiset all agree."""
-    cases = 0
-    failures = []
-    for m, n in _mn_pairs_for(args):
-        cases += 1
-        brute = genfun.perm_tuple_polynomial(m, n, anchor=1)
-        formula = genfun.perm_tuple_polynomial_formula(m, n, anchored=True)
-        words = core.qs_polynomial(core.MultisetSpec((m,) + (1,) * (n - 1)))
-        if brute != formula or brute != words:
-            failures.append("anchored polynomial differs at m=%d, n=%d" % (m, n))
-    return _verdict(cases, failures)
-
-
-def _check_tuple_fold(args):
-    """zeta: bijection with the three additive statistic identities."""
-    cases = 0
-    failures = []
-    cap = args.max_K or _DEFAULT_MAX_K
-    for m, n in _mn_pairs_for(argparse.Namespace(mult=None, max_K=cap)):
-        spec = core.MultisetSpec((m,) + (1,) * (n - 1))
-        seen = set()
-        for a in bijections.enumerate_perm_tuples(m, n, anchor=1):
-            cases += 1
-            tag = bijections.perm_tuple_to_text(a)
-            w = bijections.zeta(a)
-            if bijections.zeta_inv(w) != a:
-                failures.append("zeta round trip failed at %s" % tag)
-            st = core.stats(w)
-            asc = des = 0
-            empties = 0
-            for part in a:
-                if part:
-                    ps = core.stats(part)
-                    asc += ps.asc
-                    des += ps.des
-                else:
-                    empties += 1
-            if (st.asc, st.des, st.plat) != (asc, des, empties):
-                failures.append("zeta statistics differ at %s" % tag)
-            seen.add(w)
-        if seen != set(core.enumerate_qs(spec)):
-            failures.append("zeta image misses words at m=%d, n=%d" % (m, n))
-    return _verdict(cases, failures)
-
-
-def _check_path_ascents(args):
-    """Normal form round trip plus the excedance-from-ascents identity."""
-    cases = 0
-    failures = []
-    cap = args.max_K or _DEFAULT_MAX_K
-    for n in range(1, cap + 1):
-        for r in range(1, n + 1):
-            for s in excedance.enumerate_J(n, r):
-                cases += 1
-                rep = excedance.to_path_cycle(s)
-                total = 0
-                for seq in rep.paths + rep.cycles:
-                    total += sum(
-                        1 for i in range(len(seq) - 1) if seq[i] < seq[i + 1]
-                    )
-                if total != excedance.exc(s):
-                    failures.append("ascent identity fails at %s" % s.to_text())
-                if excedance.from_path_cycle(rep) != s:
-                    failures.append("normal form round trip fails at %s" % s.to_text())
-    return _verdict(cases, failures)
-
-
-_CHECKS = {
-    "thm22": _check_tree_word,
-    "thm23": _check_shift,
-    "thm11": _check_flatten,
-    "thm12": _check_composition_invariance,
-    "thm13": _check_descent_excedance,
-    "coro14": _check_max_descent,
-    "coro15": _check_poly_extraction,
-    "eq2": _check_descent_series,
-    "eq5": _check_tuple_poly,
-    "eq7": _check_anchored_tuple_poly,
-}
-
-_SUITE_EXTRAS = {
-    "zeta": _check_tuple_fold,
-    "eq4": _check_path_ascents,
-}
-
-
-def verify_suite(max_K):
-    """Run every identity family over all multisets with K <= max_K."""
-    if max_K < 1:
-        raise ValueError("max_K must be at least 1")
-    args = argparse.Namespace(mult=None, max_K=max_K, order=_DEFAULT_ORDER)
-    checks = []
-    all_ok = True
-    for name, fn in list(_CHECKS.items()) + list(_SUITE_EXTRAS.items()):
-        try:
-            ok, details = fn(args)
-        except Exception as e:  # a crash counts as a failed family
-            ok, details = False, {"cases": 0, "error": "%s: %s" % (type(e).__name__, e)}
-        all_ok = all_ok and ok
-        entry = {"name": name, "pass": ok}
-        entry.update(details)
-        checks.append(entry)
-    return all_ok, {"max_K": max_K, "pass": all_ok, "checks": checks}
-
-
-# ---------------------------------------------------------------------------
-# verbs
+from . import bijections, core, excedance, trees, verify
 
 
 def _require(value, flag):
@@ -411,9 +37,9 @@ def _emit_json(obj):
 
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    words = [core.word_to_text(w) for w in core.enumerate_qs(spec)]
-    if (args.format or "lines") == "json":
-        _emit_json(words)
+    words = (core.word_to_text(w) for w in core.enumerate_qs(spec))
+    if args.format == "json":
+        _emit_json(list(words))
     else:
         for line in words:
             print(line)
@@ -426,7 +52,7 @@ def _cmd_stats(args):
     if args.perm is not None:
         word = core.word_from_text(args.perm)
         st = core.stats(word)
-        payload = {"asc": st.asc, "des": st.des, "plat": st.plat}
+        payload = st._asdict()
         line = "asc=%d des=%d plat=%d" % (st.asc, st.des, st.plat)
     else:
         t = trees.parse_tree(args.tree)
@@ -435,15 +61,9 @@ def _cmd_stats(args):
         if bad is not None:
             raise ValueError(bad)
         ts = trees.tree_stats(t)
-        payload = {
-            "cdes": ts.cdes,
-            "casc": ts.casc,
-            "eleaf": ts.eleaf,
-            "first": ts.first,
-            "last": ts.last,
-        }
+        payload = ts._asdict()
         line = "cdes=%d casc=%d eleaf=%d first=%d last=%d" % ts
-    if (args.format or "json") == "json":
+    if args.format == "json":
         _emit_json(payload)
     else:
         print(line)
@@ -453,7 +73,7 @@ def _cmd_stats(args):
 def _cmd_poly(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     poly = core.qs_polynomial(spec)
-    if (args.format or "json") == "json":
+    if args.format == "json":
         _emit_json(poly.to_json_obj())
     else:
         print(poly.pretty())
@@ -462,10 +82,8 @@ def _cmd_poly(args):
 
 def _cmd_count(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    from math import factorial
-
-    count = factorial(spec.K) // factorial(spec.K - spec.n + 1)
-    if (args.format or "json") == "json":
+    count = core.qs_count(spec)
+    if args.format == "json":
         _emit_json(
             {"mult": spec.to_text(), "n": spec.n, "K": spec.K, "count": count}
         )
@@ -518,17 +136,38 @@ def _cmd_map(args):
         out = core.word_to_text(bijections.transport(w, target))
     else:
         raise ValueError("unknown map %r" % which)
-    if (args.format or "lines") == "json":
+    if args.format == "json":
         _emit_json({"result": out})
     else:
         print(out)
     return 0
 
 
+def _domain(check, args):
+    """What the check runs over: the object --mult names, else the
+    sweep up to --max-K."""
+    if not args.mult:
+        return verify.sweep_domain(check, args.max_K)
+    spec = core.MultisetSpec.from_text(args.mult)
+    if check in ("eq5", "eq7"):
+        if spec.n != 2:
+            raise ValueError("this check takes --mult m,n (two numbers)")
+        return [spec.mult]
+    if check == "thm12":
+        return [
+            core.MultisetSpec(m) for m in verify.compositions(spec.K) if len(m) == spec.n
+        ]
+    return [spec]
+
+
 def _cmd_verify(args):
+    if args.max_K < 1:
+        raise ValueError("--max-K must be at least 1")
+    if args.order < 0:
+        raise ValueError("--order must be non-negative")
     if args.suite:
-        ok, report = verify_suite(args.max_K or _DEFAULT_MAX_K)
-        if (args.format or "json") == "json":
+        ok, report = verify.verify_suite(args.max_K)
+        if args.format == "json":
             _emit_json(report)
         else:
             for entry in report["checks"]:
@@ -539,15 +178,25 @@ def _cmd_verify(args):
             print("PASS" if ok else "FAIL")
         return 0 if ok else 1
     check = _require(args.check, "--check (or --suite)")
-    fn = _CHECKS.get(check)
-    if fn is None:
+    if check not in verify.CHECKS:
         raise ValueError(
-            "unknown check %r; choose one of %s" % (check, ", ".join(sorted(_CHECKS)))
+            "unknown check %r; choose one of %s"
+            % (check, ", ".join(sorted(verify.CHECKS)))
         )
-    ok, details = fn(args)
-    payload = {"check": check, "pass": ok}
-    payload.update(details)
-    if (args.format or "json") == "json":
+    domain = _domain(check, args)
+    counts = None
+    if check == "coro14" and args.mult:
+        expected, got, failures = verify.max_descent_check(domain[0])
+        cases, counts = 1, dict(expected=expected, got=got)
+    else:
+        cases, failures = verify.run_check(check, domain, args.order)
+    if cases == 0:
+        raise ValueError("check %s has no case to run here" % check)
+    ok, details = verify.verdict(cases, failures)
+    if counts:
+        details.update(counts, report="expected %(expected)d, got %(got)d" % counts)
+    payload = {"check": check, "pass": ok, **details}
+    if args.format == "json":
         _emit_json(payload)
     else:
         tail = " " + details["report"] if "report" in details else ""
@@ -575,7 +224,8 @@ def _build_parser():
         p.add_argument(
             "--format",
             choices=("lines", "json"),
-            help="output format (default %s)" % default_fmt,
+            default=default_fmt,
+            help="output format (default %(default)s)",
         )
 
     p = sub.add_parser("enumerate", help="list every word of a multiset")
@@ -602,14 +252,20 @@ def _build_parser():
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("verify", help="check one identity or the whole suite")
-    p.add_argument("--check", help="|".join(sorted(_CHECKS)))
+    p.add_argument("--check", help="|".join(sorted(verify.CHECKS)))
     p.add_argument("--suite", action="store_true", help="run every identity family")
-    p.add_argument("--order", type=int, help="series truncation order (default 8)")
+    p.add_argument(
+        "--order",
+        type=int,
+        default=verify.DEFAULT_ORDER,
+        help="series truncation order (default %(default)s)",
+    )
     p.add_argument(
         "--max-K",
         dest="max_K",
         type=int,
-        help="sweep bound on the total size K (default %d)" % _DEFAULT_MAX_K,
+        default=5,
+        help="sweep bound on the total size K (default %(default)s)",
     )
     common(p, mult=True)
     p.set_defaults(fn=_cmd_verify)
@@ -634,6 +290,9 @@ def run(argv):
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:  # exit 1 is reserved for a failed identity
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
 
 
 def main():

@@ -18,6 +18,7 @@ recognizer below checks with a stack of open values.
 Everything in this module is a pure function on immutable data.
 """
 
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .exactpoly import PolyTUV
@@ -66,21 +67,6 @@ class MultisetSpec:
 
     def to_text(self):
         return ",".join(str(k) for k in self.mult)
-
-    def matches(self, word):
-        counts = [0] * (self.n + 1)
-        for v in word:
-            if not 1 <= v <= self.n:
-                return False
-            counts[v] += 1
-        return tuple(counts[1:]) == self.mult
-
-    def check_word(self, word):
-        if not self.matches(word):
-            raise ValueError(
-                "word %r is not a permutation of the multiset %s"
-                % (word, self.to_text() or "()")
-            )
 
     def __eq__(self, other):
         if isinstance(other, MultisetSpec):
@@ -230,6 +216,11 @@ def enumerate_qs(spec) -> Iterator[tuple]:
                 stack.pop()
 
     yield from rec()
+
+
+def qs_count(spec) -> int:
+    """Size K!/(K-n+1)! of the quasi-Stirling family of the multiset."""
+    return factorial(spec.K) // factorial(spec.K - spec.n + 1)
 
 
 def qs_polynomial(spec) -> PolyTUV:

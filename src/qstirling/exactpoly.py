@@ -194,10 +194,6 @@ class PolyTUV:
             for (et, eu, ev), c in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls([((d["t"], d["u"], d["v"]), int(d["c"])) for d in obj])
-
     def __repr__(self):
         return "PolyTUV(%s)" % self.pretty()
 
@@ -286,20 +282,6 @@ class SeriesT:
             e >>= 1
         return result
 
-    def reciprocal(self):
-        """Multiplicative inverse, requires an invertible scalar constant term."""
-        c0 = self.coeffs[0]
-        if isinstance(c0, PolyTUV) or c0 == 0:
-            raise ValueError("constant term must be a nonzero scalar")
-        inv0 = Fraction(1, 1) / Fraction(c0)
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return SeriesT(out, self.order)
-
     def __eq__(self, other):
         if not isinstance(other, SeriesT):
             return NotImplemented
@@ -308,16 +290,6 @@ class SeriesT:
         )
 
     __hash__ = None
-
-    def to_json_obj(self):
-        """JSON form for scalar series: rationals as "num/den" strings."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, PolyTUV):
-                raise ValueError("JSON form needs scalar coefficients")
-            f = Fraction(c)
-            out.append("%d/%d" % (f.numerator, f.denominator))
-        return {"order": self.order, "coeffs": out}
 
     def __repr__(self):
         return "SeriesT(order=%d, %r)" % (self.order, self.coeffs)

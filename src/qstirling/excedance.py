@@ -16,6 +16,7 @@ ascents respectively descents into excedances plus one.
 from itertools import permutations
 from typing import NamedTuple
 
+from .bijections import _flat_word_params
 from .core import complement, is_quasi_stirling, word_spec
 
 
@@ -238,13 +239,7 @@ def delta(w):
     """Same recoding after complementing, for words whose only repeated
     value is 1; descents of the word exceed excedances by one."""
     w = tuple(w)
-    spec = word_spec(w)
-    n = spec.n
-    if n == 0:
-        raise ValueError("empty word")
-    m = spec.mult[0]
-    if spec.mult != (m,) + (1,) * (n - 1):
-        raise ValueError("only the value 1 may repeat in this word")
+    _, n = _flat_word_params(w)
     return chi(complement(w, n))
 
 

@@ -3,16 +3,18 @@
 Each test prints a single `[PASS]`/`[FAIL]` line (visible with
 `pytest tests/test_acceptance.py -v -s`) and then asserts. The sweep
 criteria run the full advertised ranges, so this module carries most of
-the suite's runtime; the helpers below are shared with the mutation
-check, which re-runs two of them against a deliberately corrupted
-re-attachment rule to prove the sweeps can actually fail.
+the suite's runtime. Criteria 03-05, 11 and 12 drive the package's
+verification engine over domains built here from `sweeps.all_mults`,
+and assert that it ran exactly the closed-form number of cases; the
+mutation check corrupts the re-attachment rule to prove the engine's
+sweeps can actually fail.
 """
 
 import time
 from collections import Counter
 
 import qstirling as q
-from qstirling import bijections, cli
+from qstirling import bijections, verify
 
 import sweeps
 
@@ -31,95 +33,27 @@ def _report(num, desc, failures):
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 
 
-# --- shared sweep helpers (also driven by the mutation check) ---------------
+def _specs(max_K):
+    return [q.MultisetSpec(mult) for mult in sweeps.all_mults(max_K)]
 
 
-def _tree_word_failures(max_K):
-    failures = []
-    for mult in sweeps.all_mults(max_K):
-        spec = q.MultisetSpec(mult)
-        words = []
-        for t in q.enumerate_trees(spec):
-            w = q.phi(t)
-            ts = q.tree_stats(t)
-            st = q.stats(w)
-            if (ts.cdes, ts.casc, ts.eleaf, ts.first, ts.last) != (
-                st.des,
-                st.asc,
-                st.plat,
-                w[0],
-                w[-1],
-            ):
-                failures.append("statistics at %s" % q.render_tree(t))
-            if q.phi_inv(w) != t:
-                failures.append("round trip at %s" % q.render_tree(t))
-            words.append(w)
-        if len(set(words)) != len(words) or sorted(words) != list(
-            sweeps.qs_words(mult)
-        ):
-            failures.append("image over %s is not the whole family" % (mult,))
+def _engine_failures(result, expected_cases):
+    cases, failures = result
+    if cases != expected_cases:
+        failures = failures + ["ran %d cases, expected %d" % (cases, expected_cases)]
     return failures
 
 
-def _shift_failures(max_K):
-    failures = []
-    for mult in sweeps.all_mults(max_K):
-        spec = q.MultisetSpec(mult)
-        trees = list(q.enumerate_trees(spec))
-        for j in range(2, spec.n + 1):
-            if mult[j - 1] < 2:
-                continue
-            shifted = list(mult)
-            shifted[j - 2] += 1
-            shifted[j - 1] -= 1
-            target = q.MultisetSpec(tuple(shifted))
-            images = set()
-            for t in trees:
-                tag = "%s at j=%d" % (q.render_tree(t), j)
-                try:
-                    t2 = q.psi(t, j)
-                except ValueError as e:
-                    failures.append("forward error for %s: %s" % (tag, e))
-                    continue
-                if not q.validate_tree(t2, target):
-                    failures.append("invalid image for %s" % tag)
-                    continue
-                if q.tree_stats(t)[:3] != q.tree_stats(t2)[:3]:
-                    failures.append("statistics changed for %s" % tag)
-                try:
-                    if q.psi_inv(t2, j) != t:
-                        failures.append("round trip failed for %s" % tag)
-                except ValueError as e:
-                    failures.append("inverse error for %s: %s" % (tag, e))
-                images.add(t2)
-            if len(images) != len(trees):
-                failures.append("not injective over %s at j=%d" % (mult, j))
-    return failures
-
-
-def _flatten_failures(max_K):
-    failures = []
-    for mult in sweeps.all_mults(max_K):
-        spec = q.MultisetSpec(mult)
-        flat = q.flattened_spec(spec)
-        images = set()
-        for w in sweeps.qs_words(mult):
-            try:
-                w2 = q.big_phi(w)
-            except ValueError as e:
-                failures.append("forward error at %s: %s" % (w, e))
-                continue
-            if q.stats(w) != q.stats(w2):
-                failures.append("triple changed at %s" % (w,))
-            try:
-                if q.big_phi_inv(w2, spec) != w:
-                    failures.append("round trip failed at %s" % (w,))
-            except ValueError as e:
-                failures.append("inverse error at %s: %s" % (w, e))
-            images.add(w2)
-        if images != set(sweeps.qs_words(flat.mult)):
-            failures.append("image over %s is not the flat family" % (mult,))
-    return failures
+# Closed-form domain sizes. Every multiset with K <= 8 contributes its
+# family size K!/(K-n+1)!; the shift sweep at K <= 7 counts each family
+# once per value j >= 2 of multiplicity at least 2; there are 2^7 - 1
+# multisets with K <= 7 and 21 pairs with m + n <= 7, whose anchored
+# tuple families have (m+n-1)!/m! members.
+FAMILIES_UP_TO_8 = 436628
+SHIFTS_UP_TO_7 = 40189
+MULTISETS_UP_TO_7 = 127
+TUPLE_PAIRS = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)]
+ANCHORED_TUPLES = 1498
 
 
 # --- the criteria -----------------------------------------------------------
@@ -159,7 +93,7 @@ def test_criterion_02_worked_tree_example():
 
 def test_criterion_03_tree_word_bijection():
     start = time.perf_counter()
-    failures = _tree_word_failures(8)
+    failures = _engine_failures(verify.thm22(_specs(8)), FAMILIES_UP_TO_8)
     elapsed = time.perf_counter() - start
     if elapsed >= 300.0:
         failures.append("took %.1f s" % elapsed)
@@ -172,7 +106,7 @@ def test_criterion_03_tree_word_bijection():
 
 
 def test_criterion_04_multiplicity_shift():
-    failures = _shift_failures(7)
+    failures = _engine_failures(verify.thm23(_specs(7)), SHIFTS_UP_TO_7)
     _report(
         4,
         "every admissible single-value shift is invertible and keeps "
@@ -182,7 +116,7 @@ def test_criterion_04_multiplicity_shift():
 
 
 def test_criterion_05_flattening():
-    failures = _flatten_failures(8)
+    failures = _engine_failures(verify.thm11(_specs(8)), FAMILIES_UP_TO_8)
     if q.big_phi((2, 2, 1)) != (2, 1, 1):
         failures.append("hand example maps to %s" % (q.big_phi((2, 2, 1)),))
     _report(
@@ -295,11 +229,7 @@ def test_criterion_10_coefficient_extraction():
 
 
 def test_criterion_11_descent_series():
-    failures = []
-    for mult in sweeps.all_mults(7):
-        lhs, rhs = q.descent_series_coefficients(q.MultisetSpec(mult), 8)
-        if lhs != rhs:
-            failures.append("series sides differ over %s" % (mult,))
+    failures = _engine_failures(verify.eq2(_specs(7), 8), MULTISETS_UP_TO_7)
     lhs, rhs = q.descent_series_coefficients(q.MultisetSpec((2, 2)), 4)
     if not (lhs == rhs == [0, 1, 8, 30, 80]):
         failures.append("spot sequence came out as %s" % (lhs,))
@@ -312,28 +242,11 @@ def test_criterion_11_descent_series():
 
 
 def test_criterion_12_tuple_polynomials():
-    failures = []
-    for m in range(1, 7):
-        for n in range(1, 8 - m):
-            brute = q.perm_tuple_polynomial(m, n, anchor=1)
-            formula = q.perm_tuple_polynomial_formula(m, n, anchored=True)
-            flat_words = q.qs_polynomial(q.MultisetSpec((m,) + (1,) * (n - 1)))
-            if not (brute == formula == flat_words):
-                failures.append("anchored polynomials differ at m=%d, n=%d" % (m, n))
-            if q.perm_tuple_polynomial(m, n) != q.perm_tuple_polynomial_formula(m, n):
-                failures.append("full polynomials differ at m=%d, n=%d" % (m, n))
-            for a in q.enumerate_perm_tuples(m, n, anchor=1):
-                w = q.zeta(a)
-                if q.zeta_inv(w) != a:
-                    failures.append("fold round trip at %s" % (a,))
-                    continue
-                st = q.stats(w)
-                if (
-                    st.asc != sum(q.stats(p).asc for p in a if p)
-                    or st.des != sum(q.stats(p).des for p in a if p)
-                    or st.plat != sum(1 for p in a if not p)
-                ):
-                    failures.append("fold statistics at %s" % (a,))
+    failures = (
+        _engine_failures(verify.eq7(TUPLE_PAIRS), len(TUPLE_PAIRS))
+        + _engine_failures(verify.eq5(TUPLE_PAIRS), len(TUPLE_PAIRS))
+        + _engine_failures(verify.zeta(TUPLE_PAIRS), ANCHORED_TUPLES)
+    )
     _report(
         12,
         "tuple polynomials match their coefficient formulas and the "
@@ -343,21 +256,20 @@ def test_criterion_12_tuple_polynomials():
 
 
 def test_criterion_13_mutation_sensitivity(monkeypatch):
-    healthy = _shift_failures(5) + _flatten_failures(5)
-    assert not healthy, "sweeps must pass before the mutation"
+    healthy, _ = verify.verify_suite(5)
+    assert healthy, "the suite must pass before the mutation"
     monkeypatch.setattr(
         bijections,
         "_case1_attach_order",
         lambda moved, relabeled: [relabeled] + list(moved),
     )
-    broken = _shift_failures(5) + _flatten_failures(5)
-    # the same corruption must also trip the packaged verification suite
-    ok, report = cli.verify_suite(5)
-    failures = []
-    if not broken:
-        failures.append("reversed re-attachment order went undetected")
-    if ok:
-        failures.append("packaged suite missed the corruption")
+    _, report = verify.verify_suite(5)
+    verdicts = {entry["name"]: entry["pass"] for entry in report["checks"]}
+    failures = [
+        "%s missed the corruption" % name
+        for name in ("thm23", "thm11")
+        if verdicts[name]
+    ]
     _report(
         13,
         "reversing the re-attachment order breaks the shift and "

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qstirling import cli, genfun
+from qstirling import bijections, cli, genfun, verify
 
 FIGURE_WORD_TEXT = "2,7,4,7,5,6,3,3,5,1,5"
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -198,7 +198,7 @@ def test_verify_single_check_lines(capsys):
 
 
 def test_verify_each_check_token(capsys):
-    for check in sorted(cli._CHECKS):
+    for check in sorted(verify.CHECKS):
         code, out, _ = run_cli(capsys, "verify", "--check", check, "--max-K", "3")
         assert code == 0, check
         payload = json.loads(out)
@@ -224,7 +224,7 @@ def test_verify_suite_json(capsys):
     assert report["pass"] is True
     assert report["max_K"] == 3
     names = [entry["name"] for entry in report["checks"]]
-    assert sorted(names) == sorted(list(cli._CHECKS) + list(cli._SUITE_EXTRAS))
+    assert sorted(names) == sorted(list(verify.CHECKS) + list(verify.SUITE_EXTRAS))
     assert all(entry["pass"] for entry in report["checks"])
 
 
@@ -235,7 +235,7 @@ def test_verify_suite_lines(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "PASS"
-    assert len(lines) == len(cli._CHECKS) + len(cli._SUITE_EXTRAS) + 1
+    assert len(lines) == len(verify.CHECKS) + len(verify.SUITE_EXTRAS) + 1
     assert all(line.startswith("PASS ") for line in lines[:-1])
 
 
@@ -262,6 +262,32 @@ def test_verify_requires_check_or_suite(capsys):
     assert code == 2 and out == "" and "unknown check" in err
 
 
+def test_verify_honours_order_zero(capsys, monkeypatch):
+    orders = []
+    # record the order the CLI passes on, then report one passing case
+    monkeypatch.setitem(
+        verify.CHECKS, "eq2", lambda specs, order: orders.append(order) or (1, [])
+    )
+    code, _, _ = run_cli(capsys, "verify", "--check", "eq2", "--order", "0", "--mult", "2,2")
+    assert (code, orders) == (0, [0])
+
+
+def test_unexpected_error_exits_three(capsys, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(bijections, "phi_inv", crash)
+    monkeypatch.setattr(genfun, "max_descent_count", crash)
+    for argv in (
+        ("map", "--which", "phi-inv", "--perm", "1,2"),
+        ("verify", "--check", "coro14", "--mult", "2,2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == "", argv
+        assert err == "error: RuntimeError: kernel fault\n", argv
+
+
 def test_invalid_inputs_exit_two_without_output(capsys):
     cases = [
         ("enumerate",),  # missing --mult
@@ -270,6 +296,12 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("poly",),
         ("count", "--mult", ""),
         ("stats", "--perm", "1,a"),
+        ("verify", "--check", "thm22", "--max-K", "0"),
+        ("verify", "--check", "thm22", "--max-K", "-1"),
+        ("verify", "--suite", "--max-K", "0"),
+        ("verify", "--check", "eq2", "--order", "-1"),
+        ("verify", "--check", "thm23", "--mult", "3"),  # no value to shift
+        ("verify", "--check", "thm23", "--max-K", "1"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

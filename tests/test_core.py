@@ -37,16 +37,6 @@ def test_multiset_wire():
             q.MultisetSpec.from_text(bad)
 
 
-def test_multiset_matches_and_check():
-    spec = q.MultisetSpec((2, 1))
-    assert spec.matches((1, 2, 1))
-    assert not spec.matches((1, 2, 2))
-    assert not spec.matches((1, 1, 3))
-    spec.check_word((2, 1, 1))
-    with pytest.raises(ValueError):
-        spec.check_word((1, 1))
-
-
 def test_word_spec():
     assert q.word_spec((2, 1, 2)).mult == (1, 2)
     assert q.word_spec(()).mult == ()
@@ -117,6 +107,7 @@ def test_enumeration_differential_and_count():
         assert words == filtered
         assert all(a < b for a, b in zip(words, words[1:]))
         assert len(words) == factorial(spec.K) // factorial(spec.K - spec.n + 1)
+        assert q.qs_count(spec) == len(words)
 
 
 def test_enumeration_differential_full_size():
@@ -134,6 +125,7 @@ def test_enumeration_differential_full_size():
 
 def test_enumerate_qs_empty_spec():
     assert list(q.enumerate_qs(q.MultisetSpec(()))) == [()]
+    assert q.qs_count(q.MultisetSpec(())) == 1
 
 
 def test_complement():

@@ -89,8 +89,6 @@ def test_json_round_trip():
         {"t": 2, "u": 1, "v": 2, "c": "1"},
         {"t": 2, "u": 2, "v": 1, "c": "2"},
     ]
-    assert PolyTUV.from_json_obj(obj) == p
-    assert PolyTUV.from_json_obj([]) == 0
 
 
 def test_t_coefficients():
@@ -124,16 +122,6 @@ def test_series_ring_arithmetic():
         z + SeriesT([1], order=2)
 
 
-def test_series_reciprocal_binomials():
-    # 1/(1-z)^(K+1) has coefficients C(m+K, K)
-    for K in range(5):
-        z = SeriesT([0, 1], order=8)
-        inv = ((1 - z) ** (K + 1)).reciprocal()
-        assert inv.coeffs == [comb(m + K, K) for m in range(9)]
-    with pytest.raises(ValueError):
-        SeriesT([0, 1], order=2).reciprocal()
-
-
 def test_series_exponential_like_product():
     # exp-style coefficients stay exact rationals
     e = SeriesT([Fraction(1, factorial(k)) for k in range(7)])
@@ -149,11 +137,3 @@ def test_series_with_polynomial_coefficients():
     assert sq.coefficient(1) == 2 * t
     assert sq.coefficient(2) == t * t
     assert sq.coefficient(3) == 0
-
-
-def test_series_json():
-    s = SeriesT([Fraction(1, 2), 3], order=2)
-    assert s.to_json_obj() == {"order": 2, "coeffs": ["1/2", "3/1", "0/1"]}
-    t = PolyTUV.monomial(1, 0, 0)
-    with pytest.raises(ValueError):
-        SeriesT([t], order=1).to_json_obj()
