@@ -10,13 +10,20 @@ transport, which carries words between any two multisets sharing the
 same number of values and total size while preserving the statistic
 triple.
 
+The public functions validate their input once; the kernels behind
+them (the underscored helpers) trust it. Every kernel runs on explicit
+stacks, without recursion, so tree depth is bounded by memory only. The
+word maps go word -> mutable node tree -> psi steps -> word in linear
+passes, and each psi step finds its two odd vertices through an index
+kept up to date across the steps.
+
 The tail of the module handles words over the flattened multisets
 {1^m, 2, ..., n} directly: the block decomposition of maximally
 descending words, and zeta, which folds an m-tuple of disjoint value
 sequences into a single word.
 """
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, is_quasi_stirling, stats, word_spec
 from .trees import infer_spec, tree_violation
@@ -30,21 +37,33 @@ def _checked_spec(t):
     return spec
 
 
+def _checked_word(w):
+    w = tuple(w)
+    spec = word_spec(w)
+    if not is_quasi_stirling(w):
+        raise ValueError("word is not quasi-Stirling")
+    return w, spec
+
+
 # ---------------------------------------------------------------------------
 # trees <-> words
 
 
 def _phi(t):
-    children = t[1]
-    if not children:
-        return ()
-    head = children[0]
-    r = head[0]
-    word = [r]
-    for even in head[1]:
-        word.extend(_phi((0, even[1])))
-        word.append(r)
-    word.extend(_phi((0, children[1:])))
+    # the stack holds labels still to write and child tuples of even
+    # vertices (the root's first) still to expand
+    word = []
+    stack = [t[1]]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is int:
+            word.append(x)
+            continue
+        for r, evens in reversed(x):
+            stack.append(r)
+            for even in reversed(evens):
+                stack.append(even[1])
+                stack.append(r)
     return tuple(word)
 
 
@@ -61,82 +80,146 @@ def phi(t):
     return _phi(t)
 
 
-def _phi_inv(w):
-    if not w:
-        return (0, ())
-    r = w[0]
-    cuts = [i for i, v in enumerate(w) if v == r]
-    evens = []
-    for a, b in zip(cuts, cuts[1:]):
-        evens.append((r, _phi_inv(w[a + 1 : b])[1]))
-    rest = _phi_inv(w[cuts[-1] + 1 :])
-    return (0, ((r, tuple(evens)),) + rest[1])
+def _phi_inv(w, mult):
+    # left to right: the first copy of r opens the odd vertex r in the
+    # innermost open even vertex, every copy but the last opens an even
+    # child of it, and each later copy closes the even child before it
+    left = [0, *mult]
+    open_kids = [[]]  # child lists of the open even vertices, root first
+    evens = {}  # value -> its closed even subtrees, while r is open
+    for r in w:
+        done = evens.get(r)
+        if done is None:
+            done = evens[r] = []
+        else:
+            done.append((r, tuple(open_kids.pop())))
+        left[r] -= 1
+        if left[r]:
+            open_kids.append([])
+        else:
+            open_kids[-1].append((r, tuple(evens.pop(r))))
+    return (0, tuple(open_kids[0]))
 
 
 def phi_inv(w):
     """Rebuild the unique tree whose word is w.
 
     The segments of w strictly between consecutive copies of its first
-    value are value-disjoint from the remainder, so they recurse into
-    the even subtrees, and the suffix after the last copy recurses into
-    the later root subtrees.
+    value are value-disjoint from the remainder, so they become the
+    even subtrees, and the suffix after the last copy becomes the later
+    root subtrees.
     """
-    w = tuple(w)
-    word_spec(w)
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
-    return _phi_inv(w)
+    w, spec = _checked_word(w)
+    return _phi_inv(w, spec.mult)
 
 
 # ---------------------------------------------------------------------------
 # multiplicity surgery on mutable nodes
+#
+# A node tree comes with `odd`, the index value -> its odd vertex. Only
+# odd vertices record their parent (the even vertex or root holding
+# them); an even vertex labeled r always hangs from odd[r]. The psi
+# steps move and relabel even vertices only, so neither depth parities
+# nor the parents of odd vertices ever change, and the index follows
+# the one label swap of case 1.
 
 
 class _Node:
     __slots__ = ("label", "children", "parent")
 
-    def __init__(self, label):
+    def __init__(self, label, parent=None):
         self.label = label
         self.children = []
-        self.parent = None
+        self.parent = parent
+
+
+def _word_nodes(w, mult):
+    """The node tree of phi_inv(w) and its odd-vertex index, in one pass."""
+    left = [0, *mult]
+    root = _Node(0)
+    odd = {}
+    open_evens = [root]
+    for r in w:
+        o = odd.get(r)
+        if o is None:
+            o = odd[r] = _Node(r, open_evens[-1])
+            open_evens[-1].children.append(o)
+        else:
+            open_evens.pop()
+        left[r] -= 1
+        if left[r]:
+            even = _Node(r)
+            o.children.append(even)
+            open_evens.append(even)
+    return root, odd
+
+
+def _node_word(root):
+    """phi of a node tree."""
+    word = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is int:
+            word.append(x)
+            continue
+        for o in reversed(x.children):
+            r = o.label
+            stack.append(r)
+            for even in reversed(o.children):
+                stack.append(even)
+                stack.append(r)
+    return tuple(word)
 
 
 def _to_nodes(t):
-    root = _Node(t[0])
-    for c in t[1]:
-        child = _to_nodes(c)
-        child.parent = root
-        root.children.append(child)
-    return root
-
-
-def _to_tuple(node):
-    return (node.label, tuple(_to_tuple(c) for c in node.children))
-
-
-def _odd_vertex(root, j):
-    hits = []
-    stack = [(root, 0)]
+    root = _Node(0)
+    odd = {}
+    stack = [(root, t[1])]
     while stack:
-        node, depth = stack.pop()
-        if depth % 2 == 1 and node.label == j:
-            hits.append(node)
-        for c in node.children:
-            stack.append((c, depth + 1))
-    if len(hits) != 1:
-        raise ValueError(
-            "expected one odd vertex labeled %d, found %d" % (j, len(hits))
-        )
-    return hits[0]
+        holder, kids = stack.pop()
+        for r, evens in kids:
+            o = odd[r] = _Node(r, holder)
+            holder.children.append(o)
+            for even in evens:
+                node = _Node(r)
+                o.children.append(node)
+                if even[1]:
+                    stack.append((node, even[1]))
+    return root, odd
 
 
-def _is_descendant(node, ancestor):
-    x = node.parent
-    while x is not None:
-        if x is ancestor:
-            return True
-        x = x.parent
-    return False
+def _to_tuple(root):
+    # reversed, this preorder with children taken right to left is a
+    # postorder, so each vertex finds its children's tuples on top of
+    # `built`
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    built = []
+    for node in reversed(order):
+        k = len(node.children)
+        if k:
+            kids = tuple(built[-k:])
+            del built[-k:]
+            built.append((node.label, kids))
+        else:
+            built.append((node.label, ()))
+    return built[0]
+
+
+def _is_descendant(o, even, odd):
+    """Whether the odd vertex o lies in the subtree of the even vertex."""
+    x = o.parent
+    while x is not even:
+        up = odd.get(x.label)
+        if up is None:  # reached the root
+            return False
+        x = up.parent
+    return True
 
 
 def _case1_attach_order(moved, relabeled):
@@ -150,57 +233,44 @@ def _rotate_to_front_order(ys, pos):
     return ys[pos + 1 :] + [ys[pos]] + ys[:pos]
 
 
-def _psi_step(root, j):
-    oj = _odd_vertex(root, j)
-    oj1 = _odd_vertex(root, j - 1)
+def _psi_step(odd, j):
+    oj = odd[j]
+    oj1 = odd[j - 1]
     w = oj.children[-1]
-    if _is_descendant(oj1, w):
-        moved_low = list(oj1.children)
-        oj1.children = []
-        moved_high = list(oj.children[:-1])
+    if _is_descendant(oj1, w, odd):
         pos = w.children.index(oj1) if oj1.parent is w else -1
         w.label = j - 1
         oj.label = j - 1
         oj1.label = j
-        oj.children = _case1_attach_order(moved_low, w)
-        for x in oj.children:
-            x.parent = oj
-        oj1.children = moved_high
-        for x in moved_high:
-            x.parent = oj1
+        oj.children, oj1.children = (
+            _case1_attach_order(oj1.children, w),
+            oj.children[:-1],
+        )
+        odd[j], odd[j - 1] = oj1, oj
         if pos >= 0:
             w.children = _rotate_to_front_order(w.children, pos)
     else:
         oj.children.pop()
         w.label = j - 1
-        w.parent = oj1
         oj1.children.append(w)
 
 
-def _psi_inv_step(root, j):
-    a = _odd_vertex(root, j)
-    ojm1 = _odd_vertex(root, j - 1)
+def _psi_inv_step(odd, j):
+    a = odd[j]
+    ojm1 = odd[j - 1]
     w = ojm1.children[-1]
-    if _is_descendant(a, w):
-        t_low = list(ojm1.children[:-1])
-        t_high = list(a.children)
-        a.children = []
+    if _is_descendant(a, w, odd):
         pos = w.children.index(a) if a.parent is w else -1
         w.label = j
         a.label = j - 1
         ojm1.label = j
-        a.children = t_low
-        for x in t_low:
-            x.parent = a
-        ojm1.children = t_high + [w]
-        for x in ojm1.children:
-            x.parent = ojm1
+        a.children, ojm1.children = ojm1.children[:-1], a.children + [w]
+        odd[j], odd[j - 1] = ojm1, a
         if pos >= 0:
             w.children = _rotate_to_front_order(w.children, pos)
     else:
         ojm1.children.pop()
         w.label = j
-        w.parent = a
         a.children.append(w)
 
 
@@ -222,8 +292,8 @@ def psi(t, j):
         raise ValueError(
             "value %d has multiplicity %d, need at least 2" % (j, spec.mult[j - 1])
         )
-    root = _to_nodes(t)
-    _psi_step(root, j)
+    root, odd = _to_nodes(t)
+    _psi_step(odd, j)
     return _to_tuple(root)
 
 
@@ -237,24 +307,27 @@ def psi_inv(t, j):
             "value %d has multiplicity %d, need at least 2"
             % (j - 1, spec.mult[j - 2])
         )
-    root = _to_nodes(t)
-    _psi_inv_step(root, j)
+    root, odd = _to_nodes(t)
+    _psi_inv_step(odd, j)
     return _to_tuple(root)
 
 
 def _shift_schedule(mult):
-    """The j-sequence that flattens mult to (K-n+1, 1, ..., 1), always
-    picking the largest value whose multiplicity is still at least 2."""
-    m = list(mult)
-    steps = []
-    while True:
-        j = next((i for i in range(len(m), 1, -1) if m[i - 1] >= 2), 0)
-        if j == 0:
-            break
-        steps.append(j)
-        m[j - 2] += 1
-        m[j - 1] -= 1
-    return steps, tuple(m)
+    """The psi steps that flatten mult to (K-n+1, 1, ..., 1), always at
+    the largest value whose multiplicity is still at least 2, as runs
+    (j, count) of equal steps.
+
+    Steps at j only add copies to j-1, so the schedule works down from
+    the largest repeated value: j takes its own extra copies plus all
+    those carried down from above it, and passes them on to j-1.
+    """
+    runs = []
+    carried = 0
+    for j in range(len(mult), 1, -1):
+        carried += mult[j - 1] - 1
+        if carried:
+            runs.append((j, carried))
+    return runs
 
 
 def flattened_spec(spec):
@@ -264,32 +337,43 @@ def flattened_spec(spec):
     return MultisetSpec((spec.K - spec.n + 1,) + (1,) * (spec.n - 1))
 
 
+def _shift(odd, down, up):
+    # the psi steps of the schedule `down`, then those of the schedule
+    # `up` undone by psi_inv steps in reverse order
+    for j, count in down:
+        for _ in range(count):
+            _psi_step(odd, j)
+    for j, count in reversed(up):
+        for _ in range(count):
+            _psi_inv_step(odd, j)
+
+
 def big_psi(t):
     """Iterate psi until only the value 1 has multiplicity above 1."""
     spec = _checked_spec(t)
-    steps, _ = _shift_schedule(spec.mult)
-    if not steps:
+    down = _shift_schedule(spec.mult)
+    if not down:
         return t
-    root = _to_nodes(t)
-    for j in steps:
-        _psi_step(root, j)
+    root, odd = _to_nodes(t)
+    _shift(odd, down, ())
     return _to_tuple(root)
+
+
+def _transport(w, mult, down, up):
+    # w is quasi-Stirling over mult: flatten it by `down`, then unflatten
+    # it onto a target whose schedule is `up`
+    if not down and not up:
+        return w
+    root, odd = _word_nodes(w, mult)
+    _shift(odd, down, up)
+    return _node_word(root)
 
 
 def big_phi(w):
     """Map a quasi-Stirling word onto the flattened multiset with the
     same n and K, preserving (asc, des, plat)."""
-    w = tuple(w)
-    spec = word_spec(w)
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
-    steps, _ = _shift_schedule(spec.mult)
-    if not steps:
-        return w
-    root = _to_nodes(_phi_inv(w))
-    for j in steps:
-        _psi_step(root, j)
-    return _phi(_to_tuple(root))
+    w, spec = _checked_word(w)
+    return _transport(w, spec.mult, _shift_schedule(spec.mult), ())
 
 
 def big_phi_inv(w, target):
@@ -300,23 +384,14 @@ def big_phi_inv(w, target):
     """
     if not isinstance(target, MultisetSpec):
         target = MultisetSpec(tuple(target))
-    w = tuple(w)
-    spec = word_spec(w)
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
+    w, spec = _checked_word(w)
     flat = flattened_spec(target)
     if spec != flat:
         raise ValueError(
             "word multiset %s is not the flattened form %s of the target"
             % (spec.to_text() or "()", flat.to_text() or "()")
         )
-    steps, _ = _shift_schedule(target.mult)
-    if not steps:
-        return w
-    root = _to_nodes(_phi_inv(w))
-    for j in reversed(steps):
-        _psi_inv_step(root, j)
-    return _phi(_to_tuple(root))
+    return _transport(w, spec.mult, (), _shift_schedule(target.mult))
 
 
 def transport(w, target):
@@ -331,7 +406,11 @@ def transport(w, target):
             "source has n=%d, K=%d but target has n=%d, K=%d"
             % (spec.n, spec.K, target.n, target.K)
         )
-    return big_phi_inv(big_phi(w), target)
+    if not is_quasi_stirling(w):
+        raise ValueError("word is not quasi-Stirling")
+    return _transport(
+        w, spec.mult, _shift_schedule(spec.mult), _shift_schedule(target.mult)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +492,6 @@ def perm_tuple_to_text(parts):
     return "|".join(",".join(str(v) for v in part) for part in parts)
 
 
-def _weak_compositions(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
 def enumerate_perm_tuples(m, n, anchor=None):
     """All ways to distribute 1..n over m ordered slots, each slot an
     ordered sequence. With anchor=i, keep only tuples whose i-th slot
@@ -430,16 +500,18 @@ def enumerate_perm_tuples(m, n, anchor=None):
         raise ValueError("need at least one slot")
     if anchor is not None and not 1 <= anchor <= m:
         raise ValueError("anchor slot %r out of range 1..%d" % (anchor, m))
+    # m - 1 nondecreasing cut points in 0..n split a permutation into the
+    # slots; in lex order they list the slot sizes in lex order
+    cuts = [
+        tuple(map(slice, (0,) + inner, inner + (n,)))
+        for inner in combinations_with_replacement(range(n + 1), m - 1)
+    ]
     for perm in permutations(range(1, n + 1)):
-        for comp in _weak_compositions(n, m):
-            parts = []
-            start = 0
-            for size in comp:
-                parts.append(perm[start : start + size])
-                start += size
+        for slices in cuts:
+            parts = tuple([perm[s] for s in slices])
             if anchor is not None and 1 not in parts[anchor - 1]:
                 continue
-            yield tuple(parts)
+            yield parts
 
 
 def zeta(a):

@@ -8,8 +8,8 @@ enumerate and map print plain lines by default, the data-shaped verbs
 print JSON. The identity checks themselves live in `verify`.
 
 Exit codes: 0 success; 1 a verified identity failed; 2 invalid input,
-including a single check that has no case to run; 3 an unexpected
-error inside the package.
+including a check, or a family of the suite, that has no case to run;
+3 an unexpected error inside the package.
 """
 
 import argparse

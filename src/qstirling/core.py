@@ -175,47 +175,48 @@ def enumerate_qs(spec) -> Iterator[tuple]:
 
     Backtracking with the open-value stack: a value may be placed only
     when it is fresh or currently on top of the stack, which prunes
-    exactly the crossing patterns.
+    exactly the crossing patterns. The search runs on explicit stacks,
+    keeping per depth the next value to try there, so K is bounded by
+    memory only.
     """
     n = spec.n
     K = spec.K
     if K == 0:
         yield ()
         return
-    mult = spec.mult
-    remaining = list(mult)
+    cap = (0,) + spec.mult
     placed = [0] * (n + 1)
     stack = []
     word = []
-
-    def rec():
-        if len(word) == K:
-            yield tuple(word)
-            return
-        for v in range(1, n + 1):
-            if remaining[v - 1] == 0:
-                continue
-            fresh = placed[v] == 0
-            if not fresh and stack[-1] != v:
-                continue
-            if fresh:
+    next_try = [1]
+    while next_try:
+        top = stack[-1] if stack else 0
+        v = next_try[-1]
+        while v <= n and placed[v] and v != top:
+            v += 1
+        if v <= n:
+            next_try[-1] = v + 1
+            if not placed[v]:
                 stack.append(v)
             placed[v] += 1
-            remaining[v - 1] -= 1
-            popped = placed[v] == mult[v - 1]
-            if popped:
+            if placed[v] == cap[v]:
                 stack.pop()
             word.append(v)
-            yield from rec()
-            word.pop()
-            if popped:
-                stack.append(v)
-            remaining[v - 1] += 1
-            placed[v] -= 1
-            if fresh:
-                stack.pop()
-
-    yield from rec()
+            if len(word) < K:
+                next_try.append(1)
+                continue
+            yield tuple(word)
+        else:
+            next_try.pop()
+            if not word:
+                return
+        # take back the last letter
+        v = word.pop()
+        if placed[v] == cap[v]:
+            stack.append(v)
+        placed[v] -= 1
+        if not placed[v]:
+            stack.pop()
 
 
 def qs_count(spec) -> int:

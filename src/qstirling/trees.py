@@ -34,44 +34,68 @@ class TreeStats(NamedTuple):
 
 
 def render_tree(t):
-    label, children = t
-    if not children:
-        return str(label)
-    return "%d(%s)" % (label, ",".join(render_tree(c) for c in children))
+    """The text form of a tree, written from an explicit stack of
+    (subtree, text that follows it)."""
+    out = []
+    stack = [(t, "")]
+    while stack:
+        node, after = stack.pop()
+        if node is None:
+            out.append(after)
+            continue
+        label, children = node
+        if not children:
+            out.append(str(label))
+            out.append(after)
+            continue
+        out.append("%d(" % label)
+        if len(after) > 32:
+            # queue a long tail on its own rather than copy it once more
+            # per level of a deep rightmost chain
+            stack.append((None, after))
+            after = ""
+        stack.append((children[-1], ")" + after))
+        for child in children[-2::-1]:
+            stack.append((child, ","))
+    return "".join(out)
+
+
+def _parse_label(text, pos):
+    start = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    if pos == start:
+        raise ValueError("expected a label at position %d in %r" % (start, text))
+    digits = text[start:pos]
+    if len(digits) > 1 and digits[0] == "0":
+        raise ValueError("label with leading zero in %r" % text)
+    return int(digits), pos
 
 
 def parse_tree(text):
-    """Parse the textual tree grammar back into nested tuples."""
+    """Parse the textual tree grammar back into nested tuples, holding
+    the open subtrees on an explicit stack."""
+    open_nodes = []  # (label, children so far) of each open subtree
     pos = 0
-
-    def parse_label():
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
+    while True:
+        label, pos = _parse_label(text, pos)
+        if text.startswith("(", pos):
             pos += 1
-        if pos == start:
-            raise ValueError("expected a label at position %d in %r" % (start, text))
-        digits = text[start:pos]
-        if len(digits) > 1 and digits[0] == "0":
-            raise ValueError("label with leading zero in %r" % text)
-        return int(digits)
-
-    def parse_node():
-        nonlocal pos
-        label = parse_label()
-        children = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            children.append(parse_node())
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-            if pos >= len(text) or text[pos] != ")":
+            open_nodes.append((label, []))
+            continue
+        node = (label, ())
+        # close every open subtree whose child list ends here
+        while open_nodes and not text.startswith(",", pos):
+            if not text.startswith(")", pos):
                 raise ValueError("unclosed subtree list in %r" % text)
             pos += 1
-        return (label, tuple(children))
-
-    node = parse_node()
+            label, children = open_nodes.pop()
+            children.append(node)
+            node = (label, tuple(children))
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(node)
+        pos += 1  # past the comma
     if pos != len(text):
         raise ValueError("trailing text at position %d in %r" % (pos, text))
     return node

@@ -321,18 +321,26 @@ def verdict(cases, failures):
 
 
 def verify_suite(max_K):
-    """Run every identity family over all multisets with K <= max_K."""
+    """Run every identity family over all multisets with K <= max_K.
+
+    A family with no case to run under the bound is not a pass, so it
+    raises ValueError like a single check would.
+    """
     if max_K < 1:
         raise ValueError("max_K must be at least 1")
     checks = []
     all_ok = True
     for name in list(CHECKS) + list(SUITE_EXTRAS):
         try:
-            ok, details = verdict(
-                *run_check(name, sweep_domain(name, max_K), DEFAULT_ORDER)
-            )
+            cases, failures = run_check(name, sweep_domain(name, max_K), DEFAULT_ORDER)
         except Exception as e:  # a crash counts as a failed family
             ok, details = False, {"cases": 0, "error": "%s: %s" % (type(e).__name__, e)}
+        else:
+            if cases == 0:
+                raise ValueError(
+                    "check %s has no case to run with max_K=%d" % (name, max_K)
+                )
+            ok, details = verdict(cases, failures)
         all_ok = all_ok and ok
         checks.append({"name": name, "pass": ok, **details})
     return all_ok, {"max_K": max_K, "pass": all_ok, "checks": checks}

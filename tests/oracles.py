@@ -2,6 +2,8 @@
 definitions and kept independent of the package internals. Tests compare
 the fast library code against these."""
 
+import random
+
 
 def quartic_quasi_stirling(word):
     """Literal four-index scan: reject i<j<k<l with w_i=w_k, w_j=w_l and
@@ -69,3 +71,37 @@ def multiset_permutations(mult):
 def positional_excedances(values):
     """Number of positions i (1-based) with sigma_i > i."""
     return sum(1 for i, v in enumerate(values, start=1) if v > i)
+
+
+def random_quasi_stirling(mult, seed):
+    """A quasi-Stirling word over {1^mult[0], 2^mult[1], ...}, drawn with
+    random.Random(seed). The values are dropped in one at a time, in a
+    random order, each as a single run of all its copies at a random gap
+    of the word so far. A run of equal values sits inside or outside the
+    span of every other value, so it crosses nothing; and every
+    quasi-Stirling word has a value whose copies are adjacent, so all
+    of them can come out. A loop, not a recursion, so any size works."""
+    rng = random.Random(seed)
+    values = list(range(1, len(mult) + 1))
+    rng.shuffle(values)
+    word = []
+    for v in values:
+        gap = rng.randint(0, len(word))
+        word[gap:gap] = [v] * mult[v - 1]
+    return tuple(word)
+
+
+def largest_repeat_schedule(mult):
+    """The flattening schedule straight from its definition: while some
+    value j >= 2 has multiplicity at least 2, step at the largest such
+    j, moving one copy from j to j-1. Returns the list of those j."""
+    m = list(mult)
+    steps = []
+    while True:
+        repeated = [j for j in range(2, len(m) + 1) if m[j - 1] >= 2]
+        if not repeated:
+            return steps
+        j = max(repeated)
+        steps.append(j)
+        m[j - 2] += 1
+        m[j - 1] -= 1

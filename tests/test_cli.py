@@ -230,7 +230,7 @@ def test_verify_suite_json(capsys):
 
 def test_verify_suite_lines(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--suite", "--max-K", "2", "--format", "lines"
+        capsys, "verify", "--suite", "--max-K", "3", "--format", "lines"
     )
     assert code == 0
     lines = out.splitlines()
@@ -240,9 +240,12 @@ def test_verify_suite_lines(capsys):
 
 
 def test_verify_suite_trivial_bound(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "--max-K", "1")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
+    # no multiset with K <= 2 has a value j >= 2 to shift, so thm23 runs
+    # no case
+    for max_K in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "--max-K", max_K)
+        assert code == 2 and out == ""
+        assert "thm23" in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

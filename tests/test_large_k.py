@@ -1,0 +1,105 @@
+"""Every map at sizes far past the exhaustive sweeps: K = 10^4 words, the
+flattening at its most expensive profile, a tree of depth 4000 through
+the command line, and one-word families of 1200 letters. Words come from
+the seeded generator in `oracles`; statistics are checked against the
+oracle's padded count."""
+
+from collections import Counter
+
+import pytest
+
+import qstirling as q
+from qstirling import bijections, cli
+
+import oracles
+import sweeps
+
+BIG_K = 10_000
+# n = 2000 values with three repeated ones low down: the root of the
+# tree carries about 2000 subtrees, but flattening takes 150 psi steps
+LOW_STEP = (BIG_K - 2000 + 1 - 100, 51, 51) + (1,) * 1997
+# few values, so that both this and its reversal flatten in ~10^4 steps
+FEW_VALUES = (4000, 1000, 3000, 2000)
+HIGH_K, HIGH_N = 2000, 400
+HIGH = (1,) * (HIGH_N - 1) + (HIGH_K - HIGH_N + 1,)
+
+
+def _mult(word):
+    counts = Counter(word)
+    return tuple(counts[v] for v in range(1, max(counts) + 1))
+
+
+def _assert_image(image, source, mult):
+    """image is a word over mult with the statistic triple of source."""
+    assert _mult(image) == tuple(mult)
+    assert q.is_quasi_stirling(image)
+    assert oracles.sentinel_stats(image) == oracles.sentinel_stats(source)
+
+
+@pytest.fixture(scope="module")
+def low_word():
+    # this seed drops the value 1 in early, so over a thousand values
+    # end up as separate root subtrees: a long chain for any kernel that
+    # recurses from one root subtree to the next
+    w = oracles.random_quasi_stirling(LOW_STEP, seed=4)
+    assert len(w) == BIG_K
+    assert len(q.phi_inv(w)[1]) > 1000
+    return w
+
+
+def test_tree_word_round_trip_at_ten_thousand(low_word):
+    t = q.phi_inv(low_word)
+    assert q.validate_tree(t, q.MultisetSpec(LOW_STEP))
+    asc, des, plat = oracles.sentinel_stats(low_word)
+    assert q.tree_stats(t) == (des, asc, plat, low_word[0], low_word[-1])
+    assert q.phi(t) == low_word
+
+
+def test_flattening_round_trip_at_ten_thousand(low_word):
+    flat = q.big_phi(low_word)
+    _assert_image(flat, low_word, q.flattened_spec(q.MultisetSpec(LOW_STEP)).mult)
+    assert q.big_phi_inv(flat, LOW_STEP) == low_word
+
+
+def test_transport_round_trip_at_ten_thousand():
+    w = oracles.random_quasi_stirling(FEW_VALUES, seed=2)
+    assert len(w) == BIG_K
+    back = FEW_VALUES[::-1]
+    there = q.transport(w, back)
+    _assert_image(there, w, back)
+    assert q.transport(there, FEW_VALUES) == w
+
+
+def test_high_profile_round_trips():
+    # every extra copy sits on the largest value: (K - n)(n - 1) psi steps
+    w = oracles.random_quasi_stirling(HIGH, seed=3)
+    flat = q.big_phi(w)
+    _assert_image(flat, w, HIGH[::-1])
+    assert q.big_phi_inv(flat, HIGH) == w
+    assert q.transport(w, HIGH[::-1]) == flat
+    assert q.transport(flat, HIGH) == w
+
+
+def test_depth_4000_tree_through_the_cli(capsys):
+    word = ",".join(map(str, list(range(1, 2001)) + list(range(2000, 0, -1))))
+    assert cli.run(["map", "--which", "phi-inv", "--perm", word]) == 0
+    tree = capsys.readouterr().out.strip()
+    assert tree.startswith("0(1(1(2(2(3(3(") and tree.endswith("2000(2000" + ")" * 4000)
+    assert cli.run(["map", "--which", "phi", "--tree", tree]) == 0
+    assert capsys.readouterr().out.strip() == word
+
+
+def test_one_word_families_of_1200_letters(capsys):
+    word = (1,) * 1200
+    assert list(q.enumerate_qs(q.MultisetSpec((1200,)))) == [word]
+    assert cli.run(["enumerate", "--mult", "1200"]) == 0
+    assert capsys.readouterr().out == ",".join(["1"] * 1200) + "\n"
+    assert cli.run(["poly", "--mult", "1200"]) == 0
+    assert capsys.readouterr().out == '[{"c": "1", "t": 1, "u": 1, "v": 1199}]\n'
+
+
+def test_shift_schedule_matches_its_definition():
+    for mult in sweeps.all_mults(8):
+        runs = bijections._shift_schedule(mult)
+        steps = [j for j, count in runs for _ in range(count)]
+        assert steps == oracles.largest_repeat_schedule(mult)
