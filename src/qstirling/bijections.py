@@ -15,7 +15,9 @@ them (the underscored helpers) trust it. Every kernel runs on explicit
 stacks, without recursion, so tree depth is bounded by memory only. The
 word maps go word -> mutable node tree -> psi steps -> word in linear
 passes, and each psi step finds its two odd vertices through an index
-kept up to date across the steps.
+kept up to date across the steps. The tree maps psi, psi_inv and
+big_psi take the same path behind phi: tree -> word -> node tree -> psi
+steps -> word -> tree.
 
 The tail of the module handles words over the flattened multisets
 {1^m, 2, ..., n} directly: the block decomposition of maximally
@@ -26,15 +28,7 @@ sequences into a single word.
 from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, is_quasi_stirling, stats, word_spec
-from .trees import infer_spec, tree_violation
-
-
-def _checked_spec(t):
-    spec = infer_spec(t)
-    bad = tree_violation(t, spec)
-    if bad is not None:
-        raise ValueError(bad)
-    return spec
+from .trees import infer_spec
 
 
 def _checked_word(w):
@@ -76,7 +70,7 @@ def phi(t):
     removed. Statistics transfer: (cdes, casc, eleaf, first, last) of
     the tree equal (des, asc, plat, first, last) of the word.
     """
-    _checked_spec(t)
+    infer_spec(t)
     return _phi(t)
 
 
@@ -172,45 +166,6 @@ def _node_word(root):
     return tuple(word)
 
 
-def _to_nodes(t):
-    root = _Node(0)
-    odd = {}
-    stack = [(root, t[1])]
-    while stack:
-        holder, kids = stack.pop()
-        for r, evens in kids:
-            o = odd[r] = _Node(r, holder)
-            holder.children.append(o)
-            for even in evens:
-                node = _Node(r)
-                o.children.append(node)
-                if even[1]:
-                    stack.append((node, even[1]))
-    return root, odd
-
-
-def _to_tuple(root):
-    # reversed, this preorder with children taken right to left is a
-    # postorder, so each vertex finds its children's tuples on top of
-    # `built`
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    built = []
-    for node in reversed(order):
-        k = len(node.children)
-        if k:
-            kids = tuple(built[-k:])
-            del built[-k:]
-            built.append((node.label, kids))
-        else:
-            built.append((node.label, ()))
-    return built[0]
-
-
 def _is_descendant(o, even, odd):
     """Whether the odd vertex o lies in the subtree of the even vertex."""
     x = o.parent
@@ -274,6 +229,22 @@ def _psi_inv_step(odd, j):
         a.children.append(w)
 
 
+def _shifted_mult(t, j, src, dst):
+    # validate the input of psi/psi_inv, and return the multiplicities of
+    # t before and after one copy of the value src becomes dst
+    spec = infer_spec(t)
+    if j < 2 or j > spec.n:
+        raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
+    mult = list(spec.mult)
+    if mult[src - 1] < 2:
+        raise ValueError(
+            "value %d has multiplicity %d, need at least 2" % (src, mult[src - 1])
+        )
+    mult[src - 1] -= 1
+    mult[dst - 1] += 1
+    return spec.mult, mult
+
+
 def psi(t, j):
     """Move one copy of value j down to value j-1, preserving the tree
     statistics (cdes, casc, eleaf).
@@ -285,31 +256,14 @@ def psi(t, j):
     result is a valid tree over the multiset with multiplicities
     (..., k_{j-1}+1, k_j-1, ...).
     """
-    spec = _checked_spec(t)
-    if j < 2 or j > spec.n:
-        raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
-    if spec.mult[j - 1] < 2:
-        raise ValueError(
-            "value %d has multiplicity %d, need at least 2" % (j, spec.mult[j - 1])
-        )
-    root, odd = _to_nodes(t)
-    _psi_step(odd, j)
-    return _to_tuple(root)
+    mult, shifted = _shifted_mult(t, j, j, j - 1)
+    return _phi_inv(_transport(_phi(t), mult, ((j, 1),), ()), shifted)
 
 
 def psi_inv(t, j):
     """Undo psi(..., j): move one copy of value j-1 back up to value j."""
-    spec = _checked_spec(t)
-    if j < 2 or j > spec.n:
-        raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
-    if spec.mult[j - 2] < 2:
-        raise ValueError(
-            "value %d has multiplicity %d, need at least 2"
-            % (j - 1, spec.mult[j - 2])
-        )
-    root, odd = _to_nodes(t)
-    _psi_inv_step(odd, j)
-    return _to_tuple(root)
+    mult, shifted = _shifted_mult(t, j, j - 1, j)
+    return _phi_inv(_transport(_phi(t), mult, (), ((j, 1),)), shifted)
 
 
 def _shift_schedule(mult):
@@ -350,13 +304,9 @@ def _shift(odd, down, up):
 
 def big_psi(t):
     """Iterate psi until only the value 1 has multiplicity above 1."""
-    spec = _checked_spec(t)
-    down = _shift_schedule(spec.mult)
-    if not down:
-        return t
-    root, odd = _to_nodes(t)
-    _shift(odd, down, ())
-    return _to_tuple(root)
+    spec = infer_spec(t)
+    w = _transport(_phi(t), spec.mult, _shift_schedule(spec.mult), ())
+    return _phi_inv(w, flattened_spec(spec).mult)
 
 
 def _transport(w, mult, down, up):
@@ -399,15 +349,12 @@ def transport(w, target):
     K) through the flattened multiset, preserving (asc, des, plat)."""
     if not isinstance(target, MultisetSpec):
         target = MultisetSpec(tuple(target))
-    w = tuple(w)
-    spec = word_spec(w)
+    w, spec = _checked_word(w)
     if (spec.n, spec.K) != (target.n, target.K):
         raise ValueError(
             "source has n=%d, K=%d but target has n=%d, K=%d"
             % (spec.n, spec.K, target.n, target.K)
         )
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
     return _transport(
         w, spec.mult, _shift_schedule(spec.mult), _shift_schedule(target.mult)
     )
@@ -417,14 +364,25 @@ def transport(w, target):
 # words over {1^m, 2, ..., n}
 
 
-def _flat_word_params(w):
+def _flat_word_params(w, top=False):
+    """(m, n) for a word over {1^m, 2, ..., n}, or with top=True over
+    {1, ..., n-1, n^m}; raises ValueError for any other word.
+
+    Such a word is always quasi-Stirling: a crossing a b a b needs two
+    distinct values that each repeat.
+    """
     spec = word_spec(w)
     n = spec.n
     if n == 0:
         raise ValueError("empty word")
-    m = spec.mult[0]
-    if spec.mult != (m,) + (1,) * (n - 1):
-        raise ValueError("only the value 1 may repeat in this word")
+    if top:
+        m = spec.mult[-1]
+        if spec.mult != (1,) * (n - 1) + (m,):
+            raise ValueError("only the largest value may repeat in this word")
+    else:
+        m = spec.mult[0]
+        if spec.mult != (m,) + (1,) * (n - 1):
+            raise ValueError("only the value 1 may repeat in this word")
     return m, n
 
 
@@ -438,8 +396,6 @@ def max_descent_decompose(w):
     """
     w = tuple(w)
     m, n = _flat_word_params(w)
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
     des = stats(w).des
     if des != n:
         raise ValueError("word has %d descents, the maximum %d is required" % (des, n))

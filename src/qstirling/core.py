@@ -41,8 +41,8 @@ class MultisetSpec:
     __slots__ = ("mult",)
 
     def __init__(self, mult):
-        mult = tuple(int(k) for k in mult)
-        if any(k < 1 for k in mult):
+        mult = tuple(map(int, mult))
+        if mult and min(mult) < 1:
             raise ValueError("multiplicities must be >= 1")
         self.mult = mult
 

@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .bijections import _flat_word_params
-from .core import complement, is_quasi_stirling, word_spec
+from .core import complement, word_spec
 
 
 class PartialInj:
@@ -184,15 +184,7 @@ def chi(w):
     word exceed excedances of the result by exactly one.
     """
     w = tuple(w)
-    spec = word_spec(w)
-    n = spec.n
-    if n == 0:
-        raise ValueError("empty word")
-    m = spec.mult[-1]
-    if spec.mult != (1,) * (n - 1) + (m,):
-        raise ValueError("only the largest value may repeat in this word")
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
+    _, n = _flat_word_params(w, top=True)
     relabeled = []
     nxt = n
     last_top = -1

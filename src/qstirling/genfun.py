@@ -63,24 +63,14 @@ def qs_polynomial_from_series(m):
 
         (n! / (K-n+1)) [z^n] (eulerian_series - 1 + v)^(K-n+1)
 
-    The result provably has integer coefficients; that is asserted.
-    Must agree with qs_polynomial(m).
+    which is the anchored tuple polynomial at K-n+1 slots. Must agree
+    with qs_polynomial(m).
     """
     spec = _spec_of(m)
     n = spec.n
     if n == 0:
         raise ValueError("need at least one value")
-    power = spec.K - n + 1
-    base = eulerian_series(n) - 1 + PolyTUV.monomial(0, 0, 1)
-    coeff = (base ** power).coefficient(n)
-    if not isinstance(coeff, PolyTUV):
-        coeff = PolyTUV.constant(coeff)
-    result = coeff * Fraction(factorial(n), power)
-    if not result.is_integral():
-        raise AssertionError(
-            "coefficient extraction for %s produced non-integers" % (spec.mult,)
-        )
-    return result
+    return perm_tuple_polynomial_formula(spec.K - n + 1, n, anchored=True)
 
 
 def descent_series_coefficients(m, order):

@@ -112,58 +112,48 @@ def iter_vertices(t):
 
 
 def infer_spec(t):
-    """Recover the MultisetSpec from the non-root labels, or raise."""
-    if t[0] != 0:
+    """The MultisetSpec of the family `t` belongs to, or ValueError
+    naming a defect, in one pass over the tree.
+
+    The root must be labeled 0 and every other label be at least 1; each
+    odd vertex labeled i may carry only children labeled i, and it must
+    be the only odd vertex labeled i, so that it has count(i) - 1
+    children; and the labels must cover 1..n.
+    """
+    label, children = t
+    if label != 0:
         raise ValueError("root must be labeled 0")
-    counts = {}
-    for node, depth in iter_vertices(t):
-        if depth == 0:
-            continue
-        label = node[0]
+    kids = {}  # label -> number of children of its odd vertex
+    stack = list(children)  # odd vertices still to check
+    while stack:
+        label, evens = stack.pop()
         if label < 1:
             raise ValueError("non-root label %d out of range" % label)
-        counts[label] = counts.get(label, 0) + 1
-    if not counts:
-        return MultisetSpec(())
-    n = max(counts)
-    mult = tuple(counts.get(i, 0) for i in range(1, n + 1))
-    if 0 in mult:
-        raise ValueError("value %d is absent from the tree" % (mult.index(0) + 1))
-    return MultisetSpec(mult)
+        if label in kids:
+            raise ValueError("value %d has more than one odd vertex" % label)
+        kids[label] = len(evens)
+        for even in evens:
+            if even[0] != label:
+                raise ValueError(
+                    "odd vertex %d has a child labeled %d" % (label, even[0])
+                )
+            stack.extend(even[1])
+    n = len(kids)
+    if max(kids, default=0) != n:
+        missing = next(i for i in range(1, n + 1) if i not in kids)
+        raise ValueError("value %d is absent from the tree" % missing)
+    return MultisetSpec([kids[i] + 1 for i in range(1, n + 1)])
 
 
 def tree_violation(t, spec) -> Optional[str]:
     """None if the tree belongs to the family over `spec`, else a reason."""
-    if t[0] != 0:
-        return "root is labeled %d, expected 0" % t[0]
-    n = spec.n
-    counts = [0] * (n + 1)
-    for node, depth in iter_vertices(t):
-        label, children = node
-        if depth == 0:
-            if label != 0:
-                return "root is labeled %d, expected 0" % label
-            continue
-        if not 1 <= label <= n:
-            return "label %d out of range 1..%d" % (label, n)
-        counts[label] += 1
-        if depth % 2 == 1:
-            want = spec.mult[label - 1] - 1
-            if len(children) != want:
-                return "odd vertex %d has %d children, expected %d" % (
-                    label,
-                    len(children),
-                    want,
-                )
-            for child in children:
-                if child[0] != label:
-                    return "odd vertex %d has a child labeled %d" % (
-                        label,
-                        child[0],
-                    )
-    if tuple(counts[1:]) != spec.mult:
-        return "label multiset %r does not match %s" % (
-            tuple(counts[1:]),
+    try:
+        found = infer_spec(t)
+    except ValueError as e:
+        return str(e)
+    if found != spec:
+        return "tree is over %s, not %s" % (
+            found.to_text() or "()",
             spec.to_text() or "()",
         )
     return None

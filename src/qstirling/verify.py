@@ -9,20 +9,32 @@ a size bound, and `verify_suite` runs all of them over it.
 """
 
 from collections import Counter
+from itertools import combinations, compress, product
+from operator import sub
 
 from . import bijections, core, excedance, genfun, trees
 
 DEFAULT_ORDER = 8
 
 
-def compositions(total):
-    """All ordered sequences of positive integers summing to `total`."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
+def compositions(total, parts=None):
+    """All ordered sequences of positive integers summing to `total` >= 1,
+    or only those with `parts` terms, in lex order.
+
+    Each is read off its cut points in 1..total-1: every subset, as
+    "cut here" bits from all cuts down to none, or every subset of
+    parts - 1 points in lex order.
+    """
+    if parts is None:
+        cuts = (
+            compress(range(1, total), bits)
+            for bits in product((1, 0), repeat=total - 1)
+        )
+    else:
+        cuts = combinations(range(1, total), parts - 1)
+    for inner in cuts:
+        bounds = (0, *inner, total)
+        yield tuple(map(sub, bounds[1:], bounds))
 
 
 def sweep_domain(name, max_K):

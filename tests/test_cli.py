@@ -215,6 +215,9 @@ def test_verify_check_with_mult_operand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "eq5", "--mult", "2,3")
     assert code == 0
     assert json.loads(out)["cases"] == 1
+    code, out, _ = run_cli(capsys, "verify", "--check", "thm12", "--mult", "21,1")
+    assert code == 0
+    assert json.loads(out)["cases"] == 21
 
 
 def test_verify_suite_json(capsys):
@@ -344,3 +347,18 @@ def test_console_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,1,2,2\n1,2,2,1\n2,1,1,2\n2,2,1,1\n"
+
+
+def test_closed_pipe_is_not_a_crash():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qstirling.cli", "enumerate", "--mult", "1," * 8 + "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(30)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    assert code not in (1, 3)

@@ -175,6 +175,17 @@ def test_chi_rejects():
         q.chi((2, 1, 2, 1))  # wrong multiset shape entirely
 
 
+def test_one_repeated_value_is_always_quasi_stirling():
+    # a crossing a b a b needs two repeated values, so chi, delta and
+    # max_descent_decompose need no quasi-Stirling check of their own
+    for K in range(1, 8):
+        for n in range(1, K + 1):
+            rest = (1,) * (n - 1)
+            for mult in {(K - n + 1,) + rest, rest + (K - n + 1,)}:
+                words = oracles.multiset_permutations(mult)
+                assert all(map(oracles.quartic_quasi_stirling, words))
+
+
 def test_chi_bijection_with_ascents():
     for n in range(1, 8):
         for m in range(1, 9 - n):

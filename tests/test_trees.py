@@ -54,6 +54,12 @@ def test_infer_spec():
         q.infer_spec(q.parse_tree("1(1)"))  # root must be 0
     with pytest.raises(ValueError):
         q.infer_spec(q.parse_tree("0(3(3))"))  # labels must be contiguous
+    with pytest.raises(ValueError):
+        q.infer_spec(q.parse_tree("0(1(2),2(1))"))  # odd 1 holds an even 2
+    with pytest.raises(ValueError):
+        q.infer_spec(q.parse_tree("0(1(1),1(1))"))  # two odd vertices 1
+    with pytest.raises(ValueError):
+        q.infer_spec(q.parse_tree("0(1,1)"))  # odd vertex 1 lacks its one child
 
 
 def test_tree_violation_cases():
