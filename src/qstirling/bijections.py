@@ -27,7 +27,7 @@ sequences into a single word.
 
 from itertools import combinations_with_replacement, permutations
 
-from .core import MultisetSpec, is_quasi_stirling, stats, word_spec
+from .core import MultisetSpec, _as_spec, is_quasi_stirling, stats, word_spec
 from .trees import infer_spec
 
 
@@ -332,8 +332,7 @@ def big_phi_inv(w, target):
     The input word must live over the flattened form of the target; the
     shift schedule of the target is undone step by step in reverse.
     """
-    if not isinstance(target, MultisetSpec):
-        target = MultisetSpec(tuple(target))
+    target = _as_spec(target)
     w, spec = _checked_word(w)
     flat = flattened_spec(target)
     if spec != flat:
@@ -347,8 +346,7 @@ def big_phi_inv(w, target):
 def transport(w, target):
     """Carry a quasi-Stirling word to the target multiset (same n, same
     K) through the flattened multiset, preserving (asc, des, plat)."""
-    if not isinstance(target, MultisetSpec):
-        target = MultisetSpec(tuple(target))
+    target = _as_spec(target)
     w, spec = _checked_word(w)
     if (spec.n, spec.K) != (target.n, target.K):
         raise ValueError(
@@ -386,6 +384,18 @@ def _flat_word_params(w, top=False):
     return m, n
 
 
+def _split_at_ones(w):
+    """The stretches of w before, between and after its copies of 1."""
+    parts = []
+    prev = -1
+    for pos, v in enumerate(w):
+        if v == 1:
+            parts.append(w[prev + 1 : pos])
+            prev = pos
+    parts.append(w[prev + 1 :])
+    return parts
+
+
 def max_descent_decompose(w):
     """Split a word with the maximum descent count at its copies of 1.
 
@@ -401,12 +411,7 @@ def max_descent_decompose(w):
         raise ValueError("word has %d descents, the maximum %d is required" % (des, n))
     if w[-1] != 1:
         raise ValueError("maximally descending word must end in 1")
-    parts = []
-    prev = -1
-    for pos, v in enumerate(w):
-        if v == 1:
-            parts.append(w[prev + 1 : pos])
-            prev = pos
+    parts = _split_at_ones(w)[:-1]  # the last stretch is empty
     for part in parts:
         if any(part[i] <= part[i + 1] for i in range(len(part) - 1)):
             raise ValueError("block %r is not strictly decreasing" % (part,))
@@ -499,11 +504,5 @@ def zeta_inv(w):
     remaining parts in order."""
     w = tuple(w)
     _flat_word_params(w)
-    ones = [i for i, v in enumerate(w) if v == 1]
-    blocks = []
-    prev = -1
-    for pos in ones:
-        blocks.append(w[prev + 1 : pos])
-        prev = pos
-    tail = w[prev + 1 :]
-    return (blocks[0] + (1,) + tail,) + tuple(blocks[1:])
+    head, *middle, tail = _split_at_ones(w)
+    return (head + (1,) + tail, *middle)

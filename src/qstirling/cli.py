@@ -36,6 +36,18 @@ def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _emit(args, payload, line):
+    """Print the payload as JSON, or the line as text, per --format."""
+    if args.format == "json":
+        _emit_json(payload)
+    else:
+        print(line)
+
+
+def _verdict_line(ok, name, cases):
+    return "%s %s (cases=%d)" % ("PASS" if ok else "FAIL", name, cases)
+
+
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     words = (core.word_to_text(w) for w in core.enumerate_qs(spec))
@@ -61,32 +73,22 @@ def _cmd_stats(args):
         ts = trees.tree_stats(t)
         payload = ts._asdict()
         line = "cdes=%d casc=%d eleaf=%d first=%d last=%d" % ts
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(line)
+    _emit(args, payload, line)
     return 0
 
 
 def _cmd_poly(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     poly = core.qs_polynomial(spec)
-    if args.format == "json":
-        _emit_json(poly.to_json_obj())
-    else:
-        print(poly.pretty())
+    _emit(args, poly.to_json_obj(), poly.pretty())
     return 0
 
 
 def _cmd_count(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     count = core.qs_count(spec)
-    if args.format == "json":
-        _emit_json(
-            {"mult": spec.to_text(), "n": spec.n, "K": spec.K, "count": count}
-        )
-    else:
-        print(count)
+    payload = {"mult": spec.to_text(), "n": spec.n, "K": spec.K, "count": count}
+    _emit(args, payload, count)
     return 0
 
 
@@ -134,10 +136,7 @@ def _cmd_map(args):
         out = core.word_to_text(bijections.transport(w, target))
     else:
         raise ValueError("unknown map %r" % which)
-    if args.format == "json":
-        _emit_json({"result": out})
-    else:
-        print(out)
+    _emit(args, {"result": out}, out)
     return 0
 
 
@@ -163,15 +162,9 @@ def _cmd_verify(args):
         raise ValueError("--order must be non-negative")
     if args.suite:
         ok, report = verify.verify_suite(args.max_K)
-        if args.format == "json":
-            _emit_json(report)
-        else:
-            for entry in report["checks"]:
-                print(
-                    "%s %s (cases=%d)"
-                    % ("PASS" if entry["pass"] else "FAIL", entry["name"], entry["cases"])
-                )
-            print("PASS" if ok else "FAIL")
+        checks = report["checks"]
+        lines = [_verdict_line(e["pass"], e["name"], e["cases"]) for e in checks]
+        _emit(args, report, "\n".join(lines + ["PASS" if ok else "FAIL"]))
         return 0 if ok else 1
     check = _require(args.check, "--check (or --suite)")
     if check not in verify.CHECKS:
@@ -186,17 +179,12 @@ def _cmd_verify(args):
         cases, counts = 1, dict(expected=expected, got=got)
     else:
         cases, failures = verify.run_check(check, domain, args.order)
-    if cases == 0:
-        raise ValueError("check %s has no case to run here" % check)
     ok, details = verify.verdict(cases, failures)
+    line = _verdict_line(ok, check, cases)
     if counts:
         details.update(counts, report="expected %(expected)d, got %(got)d" % counts)
-    payload = {"check": check, "pass": ok, **details}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        tail = " " + details["report"] if "report" in details else ""
-        print("%s %s (cases=%d)%s" % ("PASS" if ok else "FAIL", check, details["cases"], tail))
+        line += " " + details["report"]
+    _emit(args, {"check": check, "pass": ok, **details}, line)
     return 0 if ok else 1
 
 

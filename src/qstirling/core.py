@@ -18,7 +18,8 @@ recognizer below checks with a stack of open values.
 Everything in this module is a pure function on immutable data.
 """
 
-from math import factorial
+from collections import Counter
+from math import perm
 from typing import Iterator, NamedTuple
 
 from .exactpoly import PolyTUV
@@ -80,6 +81,11 @@ class MultisetSpec:
         return "MultisetSpec(%r)" % (self.mult,)
 
 
+def _as_spec(m):
+    """m if it is a MultisetSpec, else the spec of the multiplicities m."""
+    return m if isinstance(m, MultisetSpec) else MultisetSpec(m)
+
+
 def word_from_text(text):
     """Parse the comma-separated wire format; empty text is the empty word."""
     text = text.strip()
@@ -106,15 +112,16 @@ def word_spec(word):
     """
     if not word:
         return MultisetSpec(())
-    n = max(word)
-    counts = [0] * (n + 1)
-    for v in word:
-        if v < 1:
-            raise ValueError("word values must be positive")
-        counts[v] += 1
-    if 0 in counts[1:]:
-        missing = counts.index(0, 1)
+    if min(word) < 1:
+        raise ValueError("word values must be positive")
+    present = set(word)
+    if len(present) != max(word):
+        # sought among the distinct values: the maximum may be astronomical
+        missing = next(v for v in range(1, len(present) + 1) if v not in present)
         raise ValueError("value %d is absent from %r" % (missing, word))
+    counts = [0] * (len(present) + 1)
+    for v in word:
+        counts[v] += 1
     return MultisetSpec(counts[1:])
 
 
@@ -134,6 +141,15 @@ def stats(word) -> StatTriple:
         prev = v
     des += 1  # trailing sentinel: prev > 0
     return StatTriple(asc, des, plat)
+
+
+def _tuple_stats(parts):
+    """(asc, des, plat) of a tuple of sequences: ascents and descents
+    summed over the nonempty parts, one plateau per empty part."""
+    nonempty = [stats(part) for part in parts if part]
+    asc = sum(st.asc for st in nonempty)
+    des = sum(st.des for st in nonempty)
+    return StatTriple(asc, des, len(parts) - len(nonempty))
 
 
 def is_quasi_stirling(word) -> bool:
@@ -221,18 +237,23 @@ def enumerate_qs(spec) -> Iterator[tuple]:
 
 def qs_count(spec) -> int:
     """Size K!/(K-n+1)! of the quasi-Stirling family of the multiset."""
-    return factorial(spec.K) // factorial(spec.K - spec.n + 1)
+    # the empty multiset has one word, the empty one
+    return perm(spec.K, spec.n - 1) if spec.n else 1
 
 
 def qs_polynomial(spec) -> PolyTUV:
     """Joint distribution of (des, asc, plat) over the quasi-Stirling words,
     as a polynomial with t marking descents, u ascents, v plateaux."""
-    terms = {}
-    for word in enumerate_qs(spec):
-        a, d, p = stats(word)
-        key = (d, a, p)
-        terms[key] = terms.get(key, 0) + 1
-    return PolyTUV(terms)
+    return _stat_polynomial(map(stats, enumerate_qs(spec)))
+
+
+def _stat_polynomial(triples):
+    """Sum of t^des u^asc v^plat over (asc, des, plat) triples."""
+    return PolyTUV(Counter((d, a, p) for a, d, p in triples))
+
+
+def _complement(word, n):
+    return tuple(n + 1 - v for v in word)
 
 
 def complement(word, n):
@@ -240,4 +261,4 @@ def complement(word, n):
     word = tuple(word)
     if any(not 1 <= v <= n for v in word):
         raise ValueError("word values must lie in 1..%d" % n)
-    return tuple(n + 1 - v for v in word)
+    return _complement(word, n)

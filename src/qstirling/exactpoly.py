@@ -19,6 +19,20 @@ def _grade(key):
     return (key[0] + key[1] + key[2], key[0], key[1], key[2])
 
 
+def _power(base, e, one):
+    """base ** e by square-and-multiply, starting from the unit `one`."""
+    if e < 0:
+        raise ValueError("negative power")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 class PolyTUV:
     """Polynomial in the three variables t, u, v.
 
@@ -131,16 +145,7 @@ class PolyTUV:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        result = PolyTUV.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, PolyTUV.one())
 
     def value_at(self, t, u, v):
         """Evaluate exactly at the given scalar point."""
@@ -271,16 +276,7 @@ class SeriesT:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        result = SeriesT.constant(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, SeriesT.constant(1, self.order))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesT):

@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .bijections import _flat_word_params
-from .core import complement, word_spec
+from .core import _complement
 
 
 class PartialInj:
@@ -185,6 +185,11 @@ def chi(w):
     """
     w = tuple(w)
     _, n = _flat_word_params(w, top=True)
+    return _chi(w, n)
+
+
+def _chi(w, n):
+    # w is a word over {1, ..., n-1, n^m}
     relabeled = []
     nxt = n
     last_top = -1
@@ -232,12 +237,12 @@ def delta(w):
     value is 1; descents of the word exceed excedances by one."""
     w = tuple(w)
     _, n = _flat_word_params(w)
-    return chi(complement(w, n))
+    return _chi(_complement(w, n), n)
 
 
 def delta_inv(s):
-    w = chi_inv(s)
-    return complement(w, word_spec(w).n)
+    # chi_inv(s) runs over 1..n, n = s.n - r + 1 = len(s.values) + 1
+    return _complement(chi_inv(s), len(s.values) + 1)
 
 
 def enumerate_J(n, r):

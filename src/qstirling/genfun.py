@@ -9,11 +9,10 @@ is asserted, never obtained by rounding.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial
 
 from .bijections import enumerate_perm_tuples
-from .core import MultisetSpec, qs_polynomial, stats
+from .core import MultisetSpec, _as_spec, _stat_polynomial, _tuple_stats, qs_polynomial
 from .exactpoly import PolyTUV, SeriesT
 
 __all__ = [
@@ -31,30 +30,18 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def eulerian(n):
-    """Sum of t^des u^asc over all permutations of 1..n, brute force."""
+    """Sum of t^des u^asc over all permutations of 1..n, brute force:
+    every permutation is quasi-Stirling, so this is the word polynomial
+    of the multiset {1, ..., n}."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    if n == 0:
-        return PolyTUV.one()
-    total = PolyTUV.zero()
-    for p in permutations(range(1, n + 1)):
-        st = stats(p)
-        total = total + PolyTUV.monomial(st.des, st.asc, 0)
-    return total
+    return qs_polynomial(MultisetSpec((1,) * n))
 
 
 def eulerian_series(order):
     """Truncated exponential series 1 + sum_n eulerian(n) z^n / n!."""
-    coeffs = [PolyTUV.one()]
-    for k in range(1, order + 1):
-        coeffs.append(eulerian(k) * Fraction(1, factorial(k)))
+    coeffs = [eulerian(k) * Fraction(1, factorial(k)) for k in range(order + 1)]
     return SeriesT(coeffs, order)
-
-
-def _spec_of(m):
-    if isinstance(m, MultisetSpec):
-        return m
-    return MultisetSpec(tuple(m))
 
 
 def qs_polynomial_from_series(m):
@@ -66,7 +53,7 @@ def qs_polynomial_from_series(m):
     which is the anchored tuple polynomial at K-n+1 slots. Must agree
     with qs_polynomial(m).
     """
-    spec = _spec_of(m)
+    spec = _as_spec(m)
     n = spec.n
     if n == 0:
         raise ValueError("need at least one value")
@@ -81,7 +68,7 @@ def descent_series_coefficients(m, order):
     the binomial expansion of (1-t)^-(K+1).
     Returns (lhs, rhs), each a list indexed 0..order; they must agree.
     """
-    spec = _spec_of(m)
+    spec = _as_spec(m)
     n = spec.n
     K = spec.K
     lhs = [
@@ -102,7 +89,7 @@ def descent_series_coefficients(m, order):
 def max_descent_count(m):
     """Closed count (K-n+1)^(n-1) of words over m attaining the maximum
     descent number n; must match brute force."""
-    spec = _spec_of(m)
+    spec = _as_spec(m)
     if spec.n == 0:
         raise ValueError("need at least one value")
     return (spec.K - spec.n + 1) ** (spec.n - 1)
@@ -111,18 +98,7 @@ def max_descent_count(m):
 def perm_tuple_polynomial(m, n, anchor=None):
     """Brute-force sum of v^(empty parts) t^(total des) u^(total asc)
     over the tuples from enumerate_perm_tuples(m, n, anchor)."""
-    total = PolyTUV.zero()
-    for parts in enumerate_perm_tuples(m, n, anchor):
-        et = eu = ev = 0
-        for part in parts:
-            if part:
-                st = stats(part)
-                et += st.des
-                eu += st.asc
-            else:
-                ev += 1
-        total = total + PolyTUV.monomial(et, eu, ev)
-    return total
+    return _stat_polynomial(map(_tuple_stats, enumerate_perm_tuples(m, n, anchor)))
 
 
 def perm_tuple_polynomial_formula(m, n, anchored=False):
@@ -136,11 +112,8 @@ def perm_tuple_polynomial_formula(m, n, anchored=False):
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     base = eulerian_series(n) - 1 + PolyTUV.monomial(0, 0, 1)
-    coeff = (base ** m).coefficient(n)
-    if not isinstance(coeff, PolyTUV):
-        coeff = PolyTUV.constant(coeff)
     scale = Fraction(factorial(n), m) if anchored else factorial(n)
-    result = coeff * scale
+    result = (base ** m).coefficient(n) * scale
     if not result.is_integral():
         raise AssertionError(
             "tuple polynomial for m=%d, n=%d produced non-integers" % (m, n)

@@ -82,6 +82,11 @@ def thm22(specs):
     return cases, failures
 
 
+def _psi_tag(t, j):
+    # rendered only for a failure message
+    return "%s j=%d" % (trees.render_tree(t), j)
+
+
 def thm23(specs):
     """psi: invertible, statistic-preserving, onto the shifted family."""
     cases = 0
@@ -98,25 +103,24 @@ def thm23(specs):
             images = set()
             for t in source:
                 cases += 1
-                tag = "%s j=%d" % (trees.render_tree(t), j)
                 try:
                     t2 = bijections.psi(t, j)
                 except ValueError as e:
-                    failures.append("psi failed at %s: %s" % (tag, e))
+                    failures.append("psi failed at %s: %s" % (_psi_tag(t, j), e))
                     continue
                 if not trees.validate_tree(t2, target):
-                    failures.append("psi image invalid at %s" % tag)
+                    failures.append("psi image invalid at %s" % _psi_tag(t, j))
                     continue
                 # (cdes, casc, eleaf); the end labels may move
                 if trees.tree_stats(t)[:3] != trees.tree_stats(t2)[:3]:
-                    failures.append("psi statistics changed at %s" % tag)
+                    failures.append("psi statistics changed at %s" % _psi_tag(t, j))
                 try:
                     back = bijections.psi_inv(t2, j)
                 except ValueError as e:
-                    failures.append("psi_inv failed at %s: %s" % (tag, e))
+                    failures.append("psi_inv failed at %s: %s" % (_psi_tag(t, j), e))
                     continue
                 if back != t:
-                    failures.append("psi round trip failed at %s" % tag)
+                    failures.append("psi round trip failed at %s" % _psi_tag(t, j))
                 images.add(t2)
             if len(images) != len(source):
                 failures.append(
@@ -129,26 +133,26 @@ def thm11(specs):
     """big_phi: bijection onto the flattened family, triple preserved."""
     cases = 0
     failures = []
+    tag = core.word_to_text  # called only for a failure message
     for spec in specs:
         flat = bijections.flattened_spec(spec)
         images = set()
         for w in core.enumerate_qs(spec):
             cases += 1
-            tag = core.word_to_text(w)
             try:
                 w2 = bijections.big_phi(w)
             except ValueError as e:
-                failures.append("big_phi failed at %s: %s" % (tag, e))
+                failures.append("big_phi failed at %s: %s" % (tag(w), e))
                 continue
             if core.stats(w) != core.stats(w2):
-                failures.append("statistic triple changed at %s" % tag)
+                failures.append("statistic triple changed at %s" % tag(w))
             try:
                 back = bijections.big_phi_inv(w2, spec)
             except ValueError as e:
-                failures.append("big_phi_inv failed at %s: %s" % (tag, e))
+                failures.append("big_phi_inv failed at %s: %s" % (tag(w), e))
                 continue
             if back != w:
-                failures.append("big_phi round trip failed at %s" % tag)
+                failures.append("big_phi round trip failed at %s" % tag(w))
             images.add(w2)
         if images != set(core.enumerate_qs(flat)):
             failures.append(
@@ -266,11 +270,7 @@ def zeta(pairs):
             w = bijections.zeta(a)
             if bijections.zeta_inv(w) != a:
                 failures.append("zeta round trip failed at %s" % tag)
-            st = core.stats(w)
-            parts = [core.stats(part) for part in a if part]
-            asc = sum(ps.asc for ps in parts)
-            des = sum(ps.des for ps in parts)
-            if (st.asc, st.des, st.plat) != (asc, des, len(a) - len(parts)):
+            if core.stats(w) != core._tuple_stats(a):
                 failures.append("zeta statistics differ at %s" % tag)
             seen.add(w)
         if seen != set(core.enumerate_qs(spec)):
@@ -317,9 +317,15 @@ SUITE_EXTRAS = {
 
 
 def run_check(name, domain, order):
-    """Run the named check over `domain`; only eq2 reads `order`."""
+    """Run the named check over `domain`; only eq2 reads `order`.
+
+    A check that ran no case is not a pass, so that raises ValueError.
+    """
     fn = CHECKS.get(name) or SUITE_EXTRAS[name]
-    return fn(domain, order) if name == "eq2" else fn(domain)
+    cases, failures = fn(domain, order) if name == "eq2" else fn(domain)
+    if cases == 0:
+        raise ValueError("check %s has no case to run" % name)
+    return cases, failures
 
 
 def verdict(cases, failures):
@@ -335,24 +341,15 @@ def verdict(cases, failures):
 def verify_suite(max_K):
     """Run every identity family over all multisets with K <= max_K.
 
-    A family with no case to run under the bound is not a pass, so it
-    raises ValueError like a single check would.
+    A family with no case to run raises ValueError in `run_check`; a
+    crash propagates, as it is not a failed identity.
     """
     if max_K < 1:
         raise ValueError("max_K must be at least 1")
     checks = []
-    all_ok = True
     for name in list(CHECKS) + list(SUITE_EXTRAS):
-        try:
-            cases, failures = run_check(name, sweep_domain(name, max_K), DEFAULT_ORDER)
-        except Exception as e:  # a crash counts as a failed family
-            ok, details = False, {"cases": 0, "error": "%s: %s" % (type(e).__name__, e)}
-        else:
-            if cases == 0:
-                raise ValueError(
-                    "check %s has no case to run with max_K=%d" % (name, max_K)
-                )
-            ok, details = verdict(cases, failures)
-        all_ok = all_ok and ok
+        cases, failures = run_check(name, sweep_domain(name, max_K), DEFAULT_ORDER)
+        ok, details = verdict(cases, failures)
         checks.append({"name": name, "pass": ok, **details})
+    all_ok = all(entry["pass"] for entry in checks)
     return all_ok, {"max_K": max_K, "pass": all_ok, "checks": checks}

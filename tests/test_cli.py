@@ -287,6 +287,7 @@ def test_unexpected_error_exits_three(capsys, monkeypatch):
     for argv in (
         ("map", "--which", "phi-inv", "--perm", "1,2"),
         ("verify", "--check", "coro14", "--mult", "2,2"),
+        ("verify", "--suite", "--max-K", "3"),  # thm22 calls phi_inv
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3, argv
@@ -309,6 +310,9 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("verify", "--check", "thm23", "--mult", "3"),  # no value to shift
         ("verify", "--check", "thm23", "--max-K", "1"),
     ]
+    # a value far beyond the word's length is a gap, not a huge allocation
+    for which in ("phi-inv", "Phi", "chi", "delta", "zeta-inv", "transport:1"):
+        cases.append(("map", "--which", which, "--perm", "99999999999999999999"))
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

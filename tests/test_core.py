@@ -1,6 +1,7 @@
 """Words, statistics, recognizers and enumeration, checked against the
 definitional oracles."""
 
+import time
 from math import factorial
 
 import pytest
@@ -44,6 +45,11 @@ def test_word_spec():
         q.word_spec((1, 3))  # value 2 missing
     with pytest.raises(ValueError):
         q.word_spec((0, 1))
+    # a huge maximum names the gap without allocating a counter per value
+    with pytest.raises(ValueError, match="value 1 is absent"):
+        q.word_spec((10**20,))
+    with pytest.raises(ValueError, match="value 2 is absent"):
+        q.word_spec((1, 10**9, 1))
 
 
 def test_stats_examples():
@@ -126,6 +132,13 @@ def test_enumeration_differential_full_size():
 def test_enumerate_qs_empty_spec():
     assert list(q.enumerate_qs(q.MultisetSpec(()))) == [()]
     assert q.qs_count(q.MultisetSpec(())) == 1
+
+
+def test_qs_count_large_single_value():
+    # one value repeated K times has one word; no K-digit factorials
+    start = time.perf_counter()
+    assert q.qs_count(q.MultisetSpec((400000,))) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_complement():

@@ -1,0 +1,53 @@
+"""The demos run, and the README's command-line examples print what
+the README says they print."""
+
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qstirling import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ qstirling ...` example in the
+    README's fenced blocks, up to the next blank line; an example that
+    elides its output with `...` is skipped."""
+    text = (ROOT / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"\n\s*\n", block):
+            command, *output = chunk.strip("\n").split("\n")
+            if command.startswith("$ qstirling ") and "..." not in output:
+                argv = shlex.split(command)[2:]
+                examples.append((argv, "".join(line + "\n" for line in output)))
+    return examples
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 9
+    for argv, expected in examples:
+        code = cli.run(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (0, expected), argv
