@@ -161,7 +161,7 @@ def _cmd_verify(args):
     if args.order < 0:
         raise ValueError("--order must be non-negative")
     if args.suite:
-        ok, report = verify.verify_suite(args.max_K)
+        ok, report = verify.verify_suite(args.max_K, args.order)
         checks = report["checks"]
         lines = [_verdict_line(e["pass"], e["name"], e["cases"]) for e in checks]
         _emit(args, report, "\n".join(lines + ["PASS" if ok else "FAIL"]))

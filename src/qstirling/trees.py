@@ -20,6 +20,7 @@ for example "0(1,2(2))". Labels are decimal naturals without leading
 zeros.
 """
 
+from itertools import permutations, product
 from typing import NamedTuple, Optional
 
 from .core import MultisetSpec
@@ -199,64 +200,52 @@ def tree_stats(t) -> TreeStats:
     return TreeStats(cdes, casc, eleaf, t[1][0][0], t[1][-1][0])
 
 
-def enumerate_trees(spec):
-    """Yield every tree over `spec`, ordered by serialized form.
+def _trees(spec):
+    """Yield every tree over `spec`, in construction order.
 
     Construction: each value i contributes one odd vertex with its
     k_i - 1 even children fixed; what varies is which slot (the root or
     some even vertex) each odd vertex hangs from, and the order of odd
     vertices sharing a slot. Every acyclic assignment plus ordering
-    yields a distinct member, and all members arise this way.
+    yields a distinct member, and all members arise this way. For each
+    assignment the subtrees of the odd vertices are built bottom-up, once
+    each, and shared by every tree that contains them.
     """
-    from itertools import permutations, product
-
     n = spec.n
-    if n == 0:
-        yield (0, ())
-        return
-    mult = spec.mult
+    # slot 0 is the root; own_slots[i] are the slots of the k_i - 1 even
+    # children of value i
+    own_slots = [()]
+    slots = 1
+    for k in spec.mult:
+        own_slots.append(range(slots, slots + k - 1))
+        slots += k - 1
 
-    # slot 0 is the root; slot (i, c) is the c-th even child of value i
-    slots = [0]
-    slot_owner = [0]  # odd vertex owning the slot, 0 for the root
-    slot_id = {}
-    for i in range(1, n + 1):
-        for c in range(1, mult[i - 1]):
-            slot_id[(i, c)] = len(slots)
-            slots.append((i, c))
-            slot_owner.append(i)
-
-    found = []
-    for assign in product(range(len(slots)), repeat=n):
-        parent = [None] + [slot_owner[assign[i - 1]] for i in range(1, n + 1)]
-        ok = True
-        for i in range(1, n + 1):
-            seen = set()
-            x = i
-            while x:
-                if x in seen:
-                    ok = False
-                    break
-                seen.add(x)
-                x = parent[x]
-            if not ok:
-                break
-        if not ok:
+    for assign in product(range(slots), repeat=n):
+        members = [[] for _ in range(slots)]
+        for i, slot in enumerate(assign, 1):
+            members[slot].append(i)
+        # the odd vertices the root reaches, each after the one above it;
+        # the assignment is acyclic exactly when all n are reached
+        order = list(members[0])
+        for i in order:
+            for slot in own_slots[i]:
+                order.extend(members[slot])
+        if len(order) < n:
             continue
-        members = [[] for _ in slots]
-        for i in range(1, n + 1):
-            members[assign[i - 1]].append(i)
+        subtrees = [None] * (n + 1)  # odd vertex -> all its subtrees
 
-        def build(i, orders):
-            evens = []
-            for c in range(1, mult[i - 1]):
-                kids = tuple(build(x, orders) for x in orders[slot_id[(i, c)]])
-                evens.append((i, kids))
-            return (i, tuple(evens))
+        def runs(slot):
+            # every ordered run of subtrees the members of the slot form
+            for perm in permutations(members[slot]):
+                yield from product(*[subtrees[x] for x in perm])
 
-        for orders in product(*(permutations(m) for m in members)):
-            root = (0, tuple(build(x, orders) for x in orders[0]))
-            found.append((render_tree(root), root))
-    found.sort(key=lambda pair: pair[0])
-    for _, root in found:
-        yield root
+        for i in reversed(order):  # every odd vertex below i is done
+            combos = product(*[runs(s) for s in own_slots[i]])
+            subtrees[i] = [(i, tuple([(i, kids) for kids in c])) for c in combos]
+        for kids in runs(0):
+            yield (0, kids)
+
+
+def enumerate_trees(spec):
+    """Yield every tree over `spec`, ordered by serialized form."""
+    yield from sorted(_trees(spec), key=render_tree)

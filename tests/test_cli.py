@@ -278,6 +278,33 @@ def test_verify_honours_order_zero(capsys, monkeypatch):
     assert (code, orders) == (0, [0])
 
 
+def test_verify_suite_honours_order(capsys, monkeypatch):
+    orders = []
+    real_eq2 = verify.CHECKS["eq2"]
+    monkeypatch.setitem(
+        verify.CHECKS,
+        "eq2",
+        lambda specs, order: orders.append(order) or real_eq2(specs, order),
+    )
+    code, _, _ = run_cli(capsys, "verify", "--suite", "--max-K", "3", "--order", "3")
+    assert (code, orders) == (0, [3])
+
+
+def test_kernel_image_outside_family_fails(capsys, monkeypatch):
+    # each faulty kernel appends a value absent from every family
+    real_phi, real_transport = bijections._phi, bijections._transport
+    monkeypatch.setattr(bijections, "_phi", lambda t: real_phi(t) + (99,))
+    monkeypatch.setattr(
+        bijections, "_transport", lambda *args: real_transport(*args) + (99,)
+    )
+    for check in ("thm22", "thm11"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--check", check, "--mult", "2,1", "--format", "lines"
+        )
+        assert code == 1, check
+        assert out.startswith("FAIL %s (cases=3)" % check), out
+
+
 def test_unexpected_error_exits_three(capsys, monkeypatch):
     def crash(*args):
         raise RuntimeError("kernel fault")
@@ -287,7 +314,7 @@ def test_unexpected_error_exits_three(capsys, monkeypatch):
     for argv in (
         ("map", "--which", "phi-inv", "--perm", "1,2"),
         ("verify", "--check", "coro14", "--mult", "2,2"),
-        ("verify", "--suite", "--max-K", "3"),  # thm22 calls phi_inv
+        ("verify", "--suite", "--max-K", "3"),  # coro14 calls max_descent_count
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3, argv
