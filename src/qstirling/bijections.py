@@ -233,6 +233,8 @@ def _shifted_mult(t, j, src, dst):
     # validate the input of psi/psi_inv, and return the multiplicities of
     # t before and after one copy of the value src becomes dst
     spec = infer_spec(t)
+    if spec.n < 2:
+        raise ValueError("the tree has no value to shift (n = %d < 2)" % spec.n)
     if j < 2 or j > spec.n:
         raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
     mult = list(spec.mult)

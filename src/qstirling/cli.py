@@ -13,6 +13,7 @@ including a check, or a family of the suite, that has no case to run;
 """
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -102,7 +103,11 @@ def _cmd_map(args):
         out = trees.render_tree(bijections.phi_inv(w))
     elif which.startswith("psi:") or which.startswith("psi-inv:"):
         token, _, jtext = which.partition(":")
-        j = int(jtext)
+        try:
+            j = int(jtext)
+        except ValueError:
+            msg = "map %r takes an integer j, as in %s:2" % (which, token)
+            raise ValueError(msg) from None
         t = trees.parse_tree(_require(args.tree, "--tree"))
         fn = bijections.psi if token == "psi" else bijections.psi_inv
         out = trees.render_tree(fn(t, j))
@@ -161,6 +166,8 @@ def _cmd_verify(args):
     if args.order < 0:
         raise ValueError("--order must be non-negative")
     if args.suite:
+        if args.check is not None or args.mult is not None:
+            raise ValueError("--suite takes neither --check nor --mult")
         ok, report = verify.verify_suite(args.max_K, args.order)
         checks = report["checks"]
         lines = [_verdict_line(e["pass"], e["name"], e["cases"]) for e in checks]
@@ -188,7 +195,10 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
+    # one parser per process, built on the first run(): parse_args keeps
+    # no state in it and gives each call a fresh Namespace
     parser = argparse.ArgumentParser(
         prog="qstirling",
         description=(
@@ -263,7 +273,11 @@ def _build_parser():
 
 def run(argv):
     """Parse argv (without the program name) and execute; returns the
-    exit code instead of exiting, so it can be driven in-process."""
+    exit code instead of exiting, so it can be driven in-process.
+
+    The parser is built on the first call and reused for the life of the
+    process, so repeated calls pay only for their own work; no value set
+    by one call carries into the next."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

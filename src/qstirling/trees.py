@@ -164,19 +164,6 @@ def validate_tree(t, spec) -> bool:
     return tree_violation(t, spec) is None
 
 
-def _cyclic_counts(seq):
-    des = asc = 0
-    L = len(seq)
-    for i in range(L):
-        a = seq[i]
-        b = seq[(i + 1) % L]
-        if a > b:
-            des += 1
-        elif a < b:
-            asc += 1
-    return des, asc
-
-
 def tree_stats(t) -> TreeStats:
     """Cyclic descent/ascent totals, even-depth leaf count, and the labels
     of the leftmost and rightmost root subtrees.
@@ -189,14 +176,25 @@ def tree_stats(t) -> TreeStats:
     if not t[1]:
         raise ValueError("statistics are undefined for the bare root")
     cdes = casc = eleaf = 0
-    for node, depth in iter_vertices(t):
-        label, children = node
-        if children:
-            d, a = _cyclic_counts((label,) + tuple(c[0] for c in children))
-            cdes += d
-            casc += a
-        elif depth % 2 == 0:
-            eleaf += 1
+    stack = [(t, True)]  # (vertex with children, at even depth)
+    while stack:
+        (label, children), even = stack.pop()
+        prev = label
+        for child in children:
+            c = child[0]
+            if prev > c:
+                cdes += 1
+            elif prev < c:
+                casc += 1
+            prev = c
+            if child[1]:
+                stack.append((child, not even))
+            elif not even:  # a leaf at even depth
+                eleaf += 1
+        if prev > label:  # the cyclic pair (last child, own label)
+            cdes += 1
+        elif prev < label:
+            casc += 1
     return TreeStats(cdes, casc, eleaf, t[1][0][0], t[1][-1][0])
 
 

@@ -105,3 +105,19 @@ def largest_repeat_schedule(mult):
         steps.append(j)
         m[j - 2] += 1
         m[j - 1] -= 1
+
+
+def cyclic_tree_stats(t, depth=0):
+    """(cdes, casc, eleaf) by recursion over the tree: a vertex with
+    children adds the cyclic descents and ascents of (own label, child
+    labels left to right), a leaf at even depth adds one to eleaf."""
+    label, children = t
+    if not children:
+        return (0, 0, 1 - depth % 2)
+    seq = [label] + [child[0] for child in children]
+    pairs = list(zip(seq, seq[1:] + seq[:1]))
+    totals = [sum(a > b for a, b in pairs), sum(a < b for a, b in pairs), 0]
+    for child in children:
+        for i, x in enumerate(cyclic_tree_stats(child, depth + 1)):
+            totals[i] += x
+    return tuple(totals)

@@ -162,8 +162,10 @@ def test_map_json_format(capsys):
 def test_map_errors(capsys):
     code, out, err = run_cli(capsys, "map", "--which", "warp", "--perm", "1")
     assert code == 2 and out == "" and "unknown map" in err
-    code, out, _ = run_cli(capsys, "map", "--which", "psi:x", "--tree", "0(1(1))")
-    assert code == 2 and out == ""
+    code, out, err = run_cli(capsys, "map", "--which", "psi:x", "--tree", "0(1(1))")
+    assert code == 2 and out == "" and "'psi:x'" in err
+    code, out, err = run_cli(capsys, "map", "--which", "psi:2", "--tree", "0(1(1))")
+    assert code == 2 and out == "" and "no value to shift" in err
     code, out, _ = run_cli(capsys, "map", "--which", "chi", "--perm", "1,1,2")
     assert code == 2 and out == ""
     code, out, _ = run_cli(capsys, "map", "--which", "phi", "--tree", "0(1(2))")
@@ -336,6 +338,10 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("verify", "--check", "eq2", "--order", "-1"),
         ("verify", "--check", "thm23", "--mult", "3"),  # no value to shift
         ("verify", "--check", "thm23", "--max-K", "1"),
+        ("verify", "--suite", "--check", "thm22", "--max-K", "3"),
+        ("verify", "--suite", "--mult", "2,1", "--max-K", "3"),
+        ("map", "--which", "psi:2", "--tree", "0(1(1))"),  # n < 2
+        ("map", "--which", "psi-inv:x", "--tree", "0(1,2(2))"),
     ]
     # a value far beyond the word's length is a gap, not a huge allocation
     for which in ("phi-inv", "Phi", "chi", "delta", "zeta-inv", "transport:1"):
@@ -344,7 +350,7 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
-        assert err != "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_argparse_level_errors(capsys):
@@ -359,6 +365,32 @@ def test_argparse_level_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "enumerate", "--help")[0] == 0
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    orders = []
+    monkeypatch.setitem(
+        verify.CHECKS, "eq2", lambda specs, order: orders.append(order) or (1, [])
+    )
+    sequence = [
+        ("frobnicate",),
+        ("--help",),
+        ("verify", "--help"),
+        ("verify", "--check", "eq2", "--order", "3"),
+        ("verify", "--check", "eq2"),  # the default order 8, not the 3 above
+        ("map", "--which", "phi-inv", "--perm", "1,2,2,1", "--format", "json"),
+        ("map", "--which", "phi-inv", "--perm", "1,2,2,1"),  # default: lines
+    ]
+    first = [run_cli(capsys, *argv) for argv in sequence]
+    again = [run_cli(capsys, *argv) for argv in sequence]
+    assert again == first
+    assert orders == [3, 8, 3, 8]
+    assert first[0][0] == 2 and "invalid choice" in first[0][2]
+    assert first[1][0] == 0 and first[1][1].startswith("usage: qstirling")
+    assert first[2][1].startswith("usage: qstirling verify")
+    assert first[5][:2] == (0, '{"result": "0(1(1(2(2))))"}\n')
+    assert first[6][:2] == (0, "0(1(1(2(2))))\n")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_byte_identical_reruns(capsys):

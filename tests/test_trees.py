@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import oracles
 import qstirling as q
 import sweeps
 
@@ -104,6 +105,12 @@ def test_tree_stats_small():
 def test_tree_stats_bare_root_raises():
     with pytest.raises(ValueError):
         q.tree_stats((0, ()))
+
+
+def test_tree_stats_matches_oracle():
+    for mult in sweeps.all_mults(6):
+        for t in q.enumerate_trees(q.MultisetSpec(mult)):
+            assert q.tree_stats(t)[:3] == oracles.cyclic_tree_stats(t), t
 
 
 def test_enumerate_trees_counts_and_validity():
