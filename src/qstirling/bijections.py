@@ -13,11 +13,12 @@ triple.
 The public functions validate their input once; the kernels behind
 them (the underscored helpers) trust it. Every kernel runs on explicit
 stacks, without recursion, so tree depth is bounded by memory only. The
-word maps go word -> mutable node tree -> psi steps -> word in linear
-passes, and each psi step finds its two odd vertices through an index
-kept up to date across the steps. The tree maps psi, psi_inv and
-big_psi take the same path behind phi: tree -> word -> node tree -> psi
-steps -> word -> tree.
+word maps go word -> tree of [label, children] lists -> psi steps ->
+word in linear passes: each step finds its odd vertices and their
+holders through value-indexed lists, and _phi reads the list tree as it
+reads a tuple tree. The tree maps psi, psi_inv and big_psi take the
+same path behind phi: tree -> word -> list tree -> psi steps -> word ->
+tree.
 
 The tail of the module handles words over the flattened multisets
 {1^m, 2, ..., n} directly: the block decomposition of maximally
@@ -44,8 +45,8 @@ def _checked_word(w):
 
 
 def _phi(t):
-    # the stack holds labels still to write and child tuples of even
-    # vertices (the root's first) still to expand
+    # t may be a tuple or a list tree; the stack holds labels still to
+    # write and child sequences of even vertices still to expand
     word = []
     stack = [t[1]]
     while stack:
@@ -108,72 +109,50 @@ def phi_inv(w):
 
 
 # ---------------------------------------------------------------------------
-# multiplicity surgery on mutable nodes
+# multiplicity surgery on a mutable tree
 #
-# A node tree comes with `odd`, the index value -> its odd vertex. Only
-# odd vertices record their parent (the even vertex or root holding
-# them); an even vertex labeled r always hangs from odd[r]. The psi
-# steps move and relabel even vertices only, so neither depth parities
-# nor the parents of odd vertices ever change, and the index follows
-# the one label swap of case 1.
+# The psi steps rewrite a tree of [label, children] lists, the same
+# nested shape as the (label, children) tuples, so _phi reads it back
+# as it is. Two lists indexed by value come with it: `odd[r]`, the odd
+# vertex labeled r, and `up[r]`, the even vertex (or the root) holding
+# it. An even vertex labeled r always hangs from odd[r], so only odd
+# vertices need a parent link. The psi steps move and relabel even
+# vertices only, so neither depth parities nor the holders of odd
+# vertices ever change, and both indexes follow the one label swap of
+# case 1.
 
 
-class _Node:
-    __slots__ = ("label", "children", "parent")
-
-    def __init__(self, label, parent=None):
-        self.label = label
-        self.children = []
-        self.parent = parent
-
-
-def _word_nodes(w, mult):
-    """The node tree of phi_inv(w) and its odd-vertex index, in one pass."""
+def _word_tree(w, mult):
+    """phi_inv(w) as a list tree, with its `odd` and `up` indexes."""
     left = [0, *mult]
-    root = _Node(0)
-    odd = {}
+    root = [0, []]
+    odd = [None] * len(left)
+    up = [None] * len(left)
     open_evens = [root]
     for r in w:
-        o = odd.get(r)
+        o = odd[r]
         if o is None:
-            o = odd[r] = _Node(r, open_evens[-1])
-            open_evens[-1].children.append(o)
+            holder = up[r] = open_evens[-1]
+            o = odd[r] = [r, []]
+            holder[1].append(o)
         else:
             open_evens.pop()
         left[r] -= 1
         if left[r]:
-            even = _Node(r)
-            o.children.append(even)
+            even = [r, []]
+            o[1].append(even)
             open_evens.append(even)
-    return root, odd
+    return root, odd, up
 
 
-def _node_word(root):
-    """phi of a node tree."""
-    word = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        if x.__class__ is int:
-            word.append(x)
-            continue
-        for o in reversed(x.children):
-            r = o.label
-            stack.append(r)
-            for even in reversed(o.children):
-                stack.append(even)
-                stack.append(r)
-    return tuple(word)
-
-
-def _is_descendant(o, even, odd):
-    """Whether the odd vertex o lies in the subtree of the even vertex."""
-    x = o.parent
+def _is_descendant(r, even, up):
+    """Whether the odd vertex labeled r lies in the subtree of the even
+    vertex."""
+    x = up[r]
     while x is not even:
-        up = odd.get(x.label)
-        if up is None:  # reached the root
+        if not x[0]:  # reached the root
             return False
-        x = up.parent
+        x = up[x[0]]
     return True
 
 
@@ -188,45 +167,44 @@ def _rotate_to_front_order(ys, pos):
     return ys[pos + 1 :] + [ys[pos]] + ys[:pos]
 
 
-def _psi_step(odd, j):
+def _psi_step(odd, up, j):
     oj = odd[j]
     oj1 = odd[j - 1]
-    w = oj.children[-1]
-    if _is_descendant(oj1, w, odd):
-        pos = w.children.index(oj1) if oj1.parent is w else -1
-        w.label = j - 1
-        oj.label = j - 1
-        oj1.label = j
-        oj.children, oj1.children = (
-            _case1_attach_order(oj1.children, w),
-            oj.children[:-1],
-        )
+    w = oj[1][-1]
+    if _is_descendant(j - 1, w, up):
+        pos = w[1].index(oj1) if up[j - 1] is w else -1
+        w[0] = j - 1
+        oj[0] = j - 1
+        oj1[0] = j
+        oj[1], oj1[1] = _case1_attach_order(oj1[1], w), oj[1][:-1]
         odd[j], odd[j - 1] = oj1, oj
+        up[j], up[j - 1] = up[j - 1], up[j]
         if pos >= 0:
-            w.children = _rotate_to_front_order(w.children, pos)
+            w[1] = _rotate_to_front_order(w[1], pos)
     else:
-        oj.children.pop()
-        w.label = j - 1
-        oj1.children.append(w)
+        oj[1].pop()
+        w[0] = j - 1
+        oj1[1].append(w)
 
 
-def _psi_inv_step(odd, j):
+def _psi_inv_step(odd, up, j):
     a = odd[j]
     ojm1 = odd[j - 1]
-    w = ojm1.children[-1]
-    if _is_descendant(a, w, odd):
-        pos = w.children.index(a) if a.parent is w else -1
-        w.label = j
-        a.label = j - 1
-        ojm1.label = j
-        a.children, ojm1.children = ojm1.children[:-1], a.children + [w]
+    w = ojm1[1][-1]
+    if _is_descendant(j, w, up):
+        pos = w[1].index(a) if up[j] is w else -1
+        w[0] = j
+        a[0] = j - 1
+        ojm1[0] = j
+        a[1], ojm1[1] = ojm1[1][:-1], a[1] + [w]
         odd[j], odd[j - 1] = ojm1, a
+        up[j], up[j - 1] = up[j - 1], up[j]
         if pos >= 0:
-            w.children = _rotate_to_front_order(w.children, pos)
+            w[1] = _rotate_to_front_order(w[1], pos)
     else:
-        ojm1.children.pop()
-        w.label = j
-        a.children.append(w)
+        ojm1[1].pop()
+        w[0] = j
+        a[1].append(w)
 
 
 def _shifted_mult(t, j, src, dst):
@@ -293,15 +271,15 @@ def flattened_spec(spec):
     return MultisetSpec((spec.K - spec.n + 1,) + (1,) * (spec.n - 1))
 
 
-def _shift(odd, down, up):
+def _shift(odd, up, down, lift):
     # the psi steps of the schedule `down`, then those of the schedule
-    # `up` undone by psi_inv steps in reverse order
+    # `lift` undone by psi_inv steps in reverse order
     for j, count in down:
         for _ in range(count):
-            _psi_step(odd, j)
-    for j, count in reversed(up):
+            _psi_step(odd, up, j)
+    for j, count in reversed(lift):
         for _ in range(count):
-            _psi_inv_step(odd, j)
+            _psi_inv_step(odd, up, j)
 
 
 def big_psi(t):
@@ -311,14 +289,14 @@ def big_psi(t):
     return _phi_inv(w, flattened_spec(spec).mult)
 
 
-def _transport(w, mult, down, up):
+def _transport(w, mult, down, lift):
     # w is quasi-Stirling over mult: flatten it by `down`, then unflatten
-    # it onto a target whose schedule is `up`
-    if not down and not up:
+    # it onto a target whose schedule is `lift`
+    if not down and not lift:
         return w
-    root, odd = _word_nodes(w, mult)
-    _shift(odd, down, up)
-    return _node_word(root)
+    root, odd, up = _word_tree(w, mult)
+    _shift(odd, up, down, lift)
+    return _phi(root)
 
 
 def big_phi(w):
@@ -442,13 +420,13 @@ def check_perm_tuple(parts, anchored=False):
 
 def perm_tuple_from_text(text):
     """Parse '3,1||2' into ((3, 1), (), (2,))."""
-    parts = []
-    for chunk in text.split("|"):
-        if chunk == "":
-            parts.append(())
-        else:
-            parts.append(tuple(int(x) for x in chunk.split(",")))
-    return tuple(parts)
+    try:
+        return tuple(
+            tuple(int(x) for x in chunk.split(",")) if chunk else ()
+            for chunk in text.split("|")
+        )
+    except ValueError:
+        raise ValueError("bad tuple text %r" % text) from None
 
 
 def perm_tuple_to_text(parts):

@@ -20,6 +20,12 @@ import sys
 
 from . import bijections, core, excedance, trees, verify
 
+_DEFAULT_MAX_K = 5
+# the maps other than transport:<mult> that read --perm alone
+_WORD_MAPS = (
+    "phi-inv", "Phi", "chi", "chi-inv", "delta", "delta-inv", "zeta", "zeta-inv"
+)
+
 
 def _require(value, flag):
     if value is None:
@@ -95,6 +101,17 @@ def _cmd_count(args):
 
 def _cmd_map(args):
     which = _require(args.which, "--which")
+    if which in ("phi", "Psi") or which.startswith(("psi:", "psi-inv:")):
+        reads = ("tree",)
+    elif which == "Phi-inv":
+        reads = ("perm", "mult")
+    elif which in _WORD_MAPS or which.startswith("transport:"):
+        reads = ("perm",)
+    else:
+        raise ValueError("unknown map %r" % which)
+    for name in ("mult", "perm", "tree"):
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError("map %s does not read --%s" % (which, name))
     if which == "phi":
         t = trees.parse_tree(_require(args.tree, "--tree"))
         out = core.word_to_text(bijections.phi(t))
@@ -135,22 +152,20 @@ def _cmd_map(args):
     elif which == "zeta-inv":
         w = core.word_from_text(_require(args.perm, "--perm"))
         out = bijections.perm_tuple_to_text(bijections.zeta_inv(w))
-    elif which.startswith("transport:"):
+    else:  # transport:<mult>
         target = core.MultisetSpec.from_text(which.partition(":")[2])
         w = core.word_from_text(_require(args.perm, "--perm"))
         out = core.word_to_text(bijections.transport(w, target))
-    else:
-        raise ValueError("unknown map %r" % which)
     _emit(args, {"result": out}, out)
     return 0
 
 
-def _domain(check, args):
+def _domain(check, mult, max_K):
     """What the check runs over: the object --mult names, else the
     sweep up to --max-K."""
-    if not args.mult:
-        return verify.sweep_domain(check, args.max_K)
-    spec = core.MultisetSpec.from_text(args.mult)
+    if not mult:
+        return verify.sweep_domain(check, max_K)
+    spec = core.MultisetSpec.from_text(mult)
     if check in ("eq5", "eq7"):
         if spec.n != 2:
             raise ValueError("this check takes --mult m,n (two numbers)")
@@ -161,14 +176,18 @@ def _domain(check, args):
 
 
 def _cmd_verify(args):
-    if args.max_K < 1:
+    # --max-K and --order default to None so that a flag the run would
+    # not read is rejected rather than ignored
+    if args.max_K is not None and args.max_K < 1:
         raise ValueError("--max-K must be at least 1")
-    if args.order < 0:
+    if args.order is not None and args.order < 0:
         raise ValueError("--order must be non-negative")
+    max_K = _DEFAULT_MAX_K if args.max_K is None else args.max_K
+    order = verify.DEFAULT_ORDER if args.order is None else args.order
     if args.suite:
         if args.check is not None or args.mult is not None:
             raise ValueError("--suite takes neither --check nor --mult")
-        ok, report = verify.verify_suite(args.max_K, args.order)
+        ok, report = verify.verify_suite(max_K, order)
         checks = report["checks"]
         lines = [_verdict_line(e["pass"], e["name"], e["cases"]) for e in checks]
         _emit(args, report, "\n".join(lines + ["PASS" if ok else "FAIL"]))
@@ -179,13 +198,17 @@ def _cmd_verify(args):
             "unknown check %r; choose one of %s"
             % (check, ", ".join(sorted(verify.CHECKS)))
         )
-    domain = _domain(check, args)
+    if args.max_K is not None and args.mult:
+        raise ValueError("check %s over --mult does not read --max-K" % check)
+    if args.order is not None and check != "eq2":
+        raise ValueError("check %s does not read --order" % check)
+    domain = _domain(check, args.mult, max_K)
     counts = None
     if check == "coro14" and args.mult:
         expected, got, failures = verify.max_descent_check(domain[0])
         cases, counts = 1, dict(expected=expected, got=got)
     else:
-        cases, failures = verify.run_check(check, domain, args.order)
+        cases, failures = verify.run_check(check, domain, order)
     ok, details = verify.verdict(cases, failures)
     line = _verdict_line(ok, check, cases)
     if counts:
@@ -251,15 +274,13 @@ def _build_parser():
     p.add_argument(
         "--order",
         type=int,
-        default=verify.DEFAULT_ORDER,
-        help="series truncation order (default %(default)s)",
+        help="series truncation order (default %d)" % verify.DEFAULT_ORDER,
     )
     p.add_argument(
         "--max-K",
         dest="max_K",
         type=int,
-        default=5,
-        help="sweep bound on the total size K (default %(default)s)",
+        help="sweep bound on the total size K (default %d)" % _DEFAULT_MAX_K,
     )
     common(p, mult=True)
     p.set_defaults(fn=_cmd_verify)

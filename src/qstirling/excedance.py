@@ -50,8 +50,11 @@ class PartialInj:
         head, sep, body = text.partition(":")
         if not sep:
             raise ValueError("expected 'n:v1,v2,...', got %r" % text)
-        n = int(head)
-        values = [int(x) for x in body.split(",")] if body else []
+        try:
+            n = int(head)
+            values = [int(x) for x in body.split(",")] if body else []
+        except ValueError:
+            raise ValueError("bad partial injection text %r" % text) from None
         return cls(n, values)
 
     def to_text(self):
@@ -169,7 +172,11 @@ def parse_path_cycle(text):
         body = text[pos + 1 : end]
         if not body:
             raise ValueError("empty group in %r" % text)
-        bucket.append(tuple(int(x) for x in body.split(",")))
+        try:
+            bucket.append(tuple(int(x) for x in body.split(",")))
+        except ValueError:
+            group = text[pos : end + 1]
+            raise ValueError("bad group %r in %r" % (group, text)) from None
         pos = end + 1
     return PathCycleRep(tuple(paths), tuple(cycles))
 

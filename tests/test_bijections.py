@@ -7,6 +7,7 @@ import pytest
 
 import qstirling as q
 import sweeps
+from qstirling import bijections, verify
 
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -172,6 +173,15 @@ def test_transport_is_statistic_preserving_bijection():
                         assert q.stats(out) == q.stats(w)
                         images.add(out)
                     assert images == set(sweeps.qs_words(target_mult))
+
+
+def test_suite_catches_a_skipped_rotation(monkeypatch):
+    # case 1 of the psi steps leaves the special child where it was
+    monkeypatch.setattr(bijections, "_rotate_to_front_order", lambda ys, pos: ys)
+    ok, report = verify.verify_suite(5)
+    verdicts = {entry["name"]: entry["pass"] for entry in report["checks"]}
+    assert not ok
+    assert not verdicts["thm23"] and not verdicts["thm11"]
 
 
 # -- max_descent_decompose ---------------------------------------------

@@ -162,6 +162,8 @@ def test_map_json_format(capsys):
 def test_map_errors(capsys):
     code, out, err = run_cli(capsys, "map", "--which", "warp", "--perm", "1")
     assert code == 2 and out == "" and "unknown map" in err
+    code, out, err = run_cli(capsys, "map", "--which", "warp", "--tree", "0(1)")
+    assert code == 2 and out == "" and "unknown map" in err
     code, out, err = run_cli(capsys, "map", "--which", "psi:x", "--tree", "0(1(1))")
     assert code == 2 and out == "" and "'psi:x'" in err
     code, out, err = run_cli(capsys, "map", "--which", "psi:2", "--tree", "0(1(1))")
@@ -172,6 +174,15 @@ def test_map_errors(capsys):
     assert code == 2 and out == ""
     code, out, _ = run_cli(capsys, "map", "--perm", "1")
     assert code == 2 and out == ""
+    # a bad number is named in the text it came from, not by int()
+    for which, operand, named in [
+        ("zeta", "a|b", "'a|b'"),
+        ("chi-inv", "5:x", "'5:x'"),
+        ("chi-inv", "<1,x>", "'<1,x>'"),
+    ]:
+        code, out, err = run_cli(capsys, "map", "--which", which, "--perm", operand)
+        assert code == 2 and out == "" and named in err, which
+        assert "invalid literal" not in err, which
 
 
 def test_verify_single_check_json(capsys):
@@ -343,6 +354,22 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("map", "--which", "psi:2", "--tree", "0(1(1))"),  # n < 2
         ("map", "--which", "psi-inv:x", "--tree", "0(1,2(2))"),
     ]
+    # an operand or flag the run does not read is rejected, not ignored
+    unread = [
+        ("map", "--which", "phi", "--tree", "0(2(2),1)", "--perm", "5,5"),
+        ("map", "--which", "phi", "--tree", "0(2(2),1)", "--mult", "9"),
+        ("map", "--which", "Psi", "--tree", "0(2(2),1)", "--perm", "2,2,1"),
+        ("map", "--which", "psi:2", "--tree", "0(2(2),1)", "--mult", "2,1"),
+        ("map", "--which", "phi-inv", "--perm", "2,2,1", "--tree", "0(1)"),
+        ("map", "--which", "Phi", "--perm", "2,2,1", "--mult", "2,1"),
+        ("map", "--which", "Phi-inv", "--perm", "2,1,1", "--mult", "1,2", "--tree", "1"),
+        ("map", "--which", "transport:1,2", "--perm", "2,2,1", "--mult", "2,1"),
+        ("verify", "--check", "thm22", "--mult", "2,1", "--max-K", "9"),
+        ("verify", "--check", "thm22", "--mult", "2,1", "--order", "3"),
+        ("verify", "--check", "thm22", "--max-K", "3", "--order", "3"),
+        ("verify", "--check", "eq2", "--mult", "2,1", "--max-K", "3"),
+    ]
+    cases += unread
     # a value far beyond the word's length is a gap, not a huge allocation
     for which in ("phi-inv", "Phi", "chi", "delta", "zeta-inv", "transport:1"):
         cases.append(("map", "--which", which, "--perm", "99999999999999999999"))
@@ -351,6 +378,8 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    for argv in unread:
+        assert "does not read --" in run_cli(capsys, *argv)[2], argv
 
 
 def test_argparse_level_errors(capsys):
