@@ -19,7 +19,7 @@ from qstirling import (
     qs_polynomial_from_series,
 )
 
-# Bivariate Eulerian polynomials by brute force over all permutations.
+# Bivariate Eulerian polynomials, from the Eulerian recurrence.
 for n in range(1, 5):
     print("A_%d =" % n, eulerian(n).pretty())
 

@@ -5,9 +5,9 @@ two distinct values interleave as a b a b. The package enumerates these
 words, the ordered labeled trees they correspond to, and the maps
 between them; tracks the ascent/descent/plateau statistics through
 every map; recodes the one-repeated-value families as injective partial
-maps with their excedances; and recomputes the counting polynomials by
-exact truncated-series extraction as an independent cross-check. The
-qstirling command line fronts the same operations.
+maps with their excedances; and computes the counting polynomials by
+exact integer coefficient extraction, which enumeration cross-checks.
+The qstirling command line fronts the same operations.
 """
 
 from .bijections import (

@@ -18,7 +18,7 @@ import json
 import signal
 import sys
 
-from . import bijections, core, excedance, trees, verify
+from . import bijections, core, excedance, genfun, trees, verify
 
 _DEFAULT_MAX_K = 5
 # the maps other than transport:<mult> that read --perm alone
@@ -86,7 +86,7 @@ def _cmd_stats(args):
 
 def _cmd_poly(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    poly = core.qs_polynomial(spec)
+    poly = genfun.qs_polynomial_from_series(spec)
     _emit(args, poly.to_json_obj(), poly.pretty())
     return 0
 
@@ -163,7 +163,7 @@ def _cmd_map(args):
 def _domain(check, mult, max_K):
     """What the check runs over: the object --mult names, else the
     sweep up to --max-K."""
-    if not mult:
+    if mult is None:
         return verify.sweep_domain(check, max_K)
     spec = core.MultisetSpec.from_text(mult)
     if check in ("eq5", "eq7"):
@@ -198,13 +198,13 @@ def _cmd_verify(args):
             "unknown check %r; choose one of %s"
             % (check, ", ".join(sorted(verify.CHECKS)))
         )
-    if args.max_K is not None and args.mult:
+    if args.max_K is not None and args.mult is not None:
         raise ValueError("check %s over --mult does not read --max-K" % check)
     if args.order is not None and check != "eq2":
         raise ValueError("check %s does not read --order" % check)
     domain = _domain(check, args.mult, max_K)
     counts = None
-    if check == "coro14" and args.mult:
+    if check == "coro14" and args.mult is not None:
         expected, got, failures = verify.max_descent_check(domain[0])
         cases, counts = 1, dict(expected=expected, got=got)
     else:

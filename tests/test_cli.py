@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qstirling import bijections, cli, genfun, verify
+import sweeps
+from qstirling import bijections, cli, core, genfun, verify
 
 FIGURE_WORD_TEXT = "2,7,4,7,5,6,3,3,5,1,5"
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -73,6 +74,19 @@ def test_poly_json(capsys):
 def test_poly_lines(capsys):
     code, out, _ = run_cli(capsys, "poly", "--mult", "2,2", "--format", "lines")
     assert (code, out) == (0, "t*u^2*v^2 + t^2*u*v^2 + 2*t^2*u^2*v\n")
+
+
+def test_poly_is_byte_identical_to_enumeration(capsys):
+    # poly extracts the polynomial; it must print what enumerating the
+    # words prints, in both formats
+    for mult in sweeps.all_mults(6):
+        spec = core.MultisetSpec(mult)
+        text = spec.to_text()
+        poly = core.qs_polynomial(spec)
+        code, out, _ = run_cli(capsys, "poly", "--mult", text)
+        assert (code, out) == (0, json.dumps(poly.to_json_obj(), sort_keys=True) + "\n")
+        code, out, _ = run_cli(capsys, "poly", "--mult", text, "--format", "lines")
+        assert (code, out) == (0, poly.pretty() + "\n")
 
 
 def test_count(capsys):
@@ -347,6 +361,8 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("verify", "--check", "thm22", "--max-K", "-1"),
         ("verify", "--suite", "--max-K", "0"),
         ("verify", "--check", "eq2", "--order", "-1"),
+        ("verify", "--check", "thm22", "--mult", ""),  # empty, not absent
+        ("verify", "--check", "thm22", "--mult", "", "--max-K", "3"),
         ("verify", "--check", "thm23", "--mult", "3"),  # no value to shift
         ("verify", "--check", "thm23", "--max-K", "1"),
         ("verify", "--suite", "--check", "thm22", "--max-K", "3"),

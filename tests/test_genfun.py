@@ -8,7 +8,9 @@ from math import comb, factorial
 import pytest
 
 import qstirling as q
+import oracles
 import sweeps
+from qstirling import verify
 
 P = q.PolyTUV.monomial
 
@@ -23,12 +25,22 @@ def test_eulerian_small():
 
 
 def test_eulerian_is_brute_force_sum():
-    for n in range(1, 6):
+    for n in range(8):
         total = q.PolyTUV.zero()
         for perm in permutations(range(1, n + 1)):
-            st = q.stats(perm)
-            total = total + P(st.des, st.asc, 0)
+            asc, des, plat = oracles.sentinel_stats(perm)
+            total = total + P(des, asc, plat)
         assert total == q.eulerian(n)
+
+
+def test_eulerian_rows_sum_and_symmetry():
+    # des runs over 1..n with both ends counted, and reversing a
+    # permutation swaps des and asc = n + 1 - des
+    for n in range(1, 31):
+        row = q.eulerian(n).t_coefficients()
+        assert sum(row) == factorial(n)
+        assert row[0] == 0 and len(row) == n + 1
+        assert all(row[d] == row[n + 1 - d] for d in range(1, n + 1))
 
 
 def test_eulerian_series_layout():
@@ -57,6 +69,29 @@ def test_qs_polynomial_from_series_matches_brute_force():
         assert got.is_integral()
 
 
+@pytest.mark.parametrize("mult", [(10,) * 6, (2,) * 40])
+def test_extraction_beyond_enumeration(mult):
+    # (10,)*6 has 6.6e8 words and (2,)*40 about 2.1e69: no enumeration
+    # reaches them, so check what the family must satisfy
+    spec = q.MultisetSpec(mult)
+    n, K = spec.n, spec.K
+    poly = q.qs_polynomial_from_series(spec)
+    assert poly.is_integral()
+    assert poly.value_at(1, 1, 1) == q.qs_count(spec)
+    assert all(sum(key) == K + 1 for key in poly.terms)
+    assert poly.t_coefficients()[n] == (K - n + 1) ** (n - 1)
+    assert len(poly.t_coefficients()) == n + 1
+
+
+def test_tuple_formula_counts_up_to_twelve():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            whole = comb(n + m - 1, m - 1) * factorial(n)
+            assert q.perm_tuple_polynomial_formula(m, n).value_at(1, 1, 1) == whole
+            anchored = q.perm_tuple_polynomial_formula(m, n, anchored=True)
+            assert anchored.value_at(1, 1, 1) * m == whole
+
+
 def test_descent_series_examples():
     lhs, rhs = q.descent_series_coefficients(q.MultisetSpec((2, 2)), 4)
     assert lhs == rhs == [0, 1, 8, 30, 80]
@@ -75,6 +110,16 @@ def test_descent_series_agrees_everywhere_small():
     for mult in sweeps.all_mults(6):
         lhs, rhs = q.descent_series_coefficients(q.MultisetSpec(mult), 6)
         assert lhs == rhs
+
+
+def test_descent_series_rejects_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        q.descent_series_coefficients(q.MultisetSpec((2, 2)), -1)
+    # the engine would otherwise compare no coefficient and pass
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        verify.run_check("eq2", verify.sweep_domain("eq2", 3), -1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        verify.verify_suite(3, -1)
 
 
 def test_descent_series_lhs_closed_form():
