@@ -111,6 +111,10 @@ def phi_inv(w):
 # ---------------------------------------------------------------------------
 # multiplicity surgery on a mutable tree
 #
+# A psi step turns one copy of a value src into the adjacent value dst:
+# psi at j is the step (j, j - 1) and psi_inv at j is (j - 1, j), one
+# surgery with the two labels exchanged (psi's docstring states it).
+#
 # The psi steps rewrite a tree of [label, children] lists, the same
 # nested shape as the (label, children) tuples, so _phi reads it back
 # as it is. Two lists indexed by value come with it: `odd[r]`, the odd
@@ -167,44 +171,24 @@ def _rotate_to_front_order(ys, pos):
     return ys[pos + 1 :] + [ys[pos]] + ys[:pos]
 
 
-def _psi_step(odd, up, j):
-    oj = odd[j]
-    oj1 = odd[j - 1]
-    w = oj[1][-1]
-    if _is_descendant(j - 1, w, up):
-        pos = w[1].index(oj1) if up[j - 1] is w else -1
-        w[0] = j - 1
-        oj[0] = j - 1
-        oj1[0] = j
-        oj[1], oj1[1] = _case1_attach_order(oj1[1], w), oj[1][:-1]
-        odd[j], odd[j - 1] = oj1, oj
-        up[j], up[j - 1] = up[j - 1], up[j]
+def _psi_step(odd, up, src, dst):
+    osrc = odd[src]
+    odst = odd[dst]
+    w = osrc[1][-1]
+    if _is_descendant(dst, w, up):
+        pos = w[1].index(odst) if up[dst] is w else -1
+        w[0] = dst
+        osrc[0] = dst
+        odst[0] = src
+        osrc[1], odst[1] = _case1_attach_order(odst[1], w), osrc[1][:-1]
+        odd[src], odd[dst] = odst, osrc
+        up[src], up[dst] = up[dst], up[src]
         if pos >= 0:
             w[1] = _rotate_to_front_order(w[1], pos)
     else:
-        oj[1].pop()
-        w[0] = j - 1
-        oj1[1].append(w)
-
-
-def _psi_inv_step(odd, up, j):
-    a = odd[j]
-    ojm1 = odd[j - 1]
-    w = ojm1[1][-1]
-    if _is_descendant(j, w, up):
-        pos = w[1].index(a) if up[j] is w else -1
-        w[0] = j
-        a[0] = j - 1
-        ojm1[0] = j
-        a[1], ojm1[1] = ojm1[1][:-1], a[1] + [w]
-        odd[j], odd[j - 1] = ojm1, a
-        up[j], up[j - 1] = up[j - 1], up[j]
-        if pos >= 0:
-            w[1] = _rotate_to_front_order(w[1], pos)
-    else:
-        ojm1[1].pop()
-        w[0] = j
-        a[1].append(w)
+        osrc[1].pop()
+        w[0] = dst
+        odst[1].append(w)
 
 
 def _shifted_mult(t, j, src, dst):
@@ -241,7 +225,8 @@ def psi(t, j):
 
 
 def psi_inv(t, j):
-    """Undo psi(..., j): move one copy of value j-1 back up to value j."""
+    """Undo psi(..., j): move one copy of value j-1 back up to value j,
+    by the surgery of psi with j and j-1 exchanged."""
     mult, shifted = _shifted_mult(t, j, j - 1, j)
     return _phi_inv(_transport(_phi(t), mult, (), ((j, 1),)), shifted)
 
@@ -271,17 +256,6 @@ def flattened_spec(spec):
     return MultisetSpec((spec.K - spec.n + 1,) + (1,) * (spec.n - 1))
 
 
-def _shift(odd, up, down, lift):
-    # the psi steps of the schedule `down`, then those of the schedule
-    # `lift` undone by psi_inv steps in reverse order
-    for j, count in down:
-        for _ in range(count):
-            _psi_step(odd, up, j)
-    for j, count in reversed(lift):
-        for _ in range(count):
-            _psi_inv_step(odd, up, j)
-
-
 def big_psi(t):
     """Iterate psi until only the value 1 has multiplicity above 1."""
     spec = infer_spec(t)
@@ -295,7 +269,12 @@ def _transport(w, mult, down, lift):
     if not down and not lift:
         return w
     root, odd, up = _word_tree(w, mult)
-    _shift(odd, up, down, lift)
+    for j, count in down:
+        for _ in range(count):
+            _psi_step(odd, up, j, j - 1)
+    for j, count in reversed(lift):
+        for _ in range(count):
+            _psi_step(odd, up, j - 1, j)
     return _phi(root)
 
 

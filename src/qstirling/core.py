@@ -173,16 +173,17 @@ def is_quasi_stirling(word) -> bool:
 
 def is_stirling(word) -> bool:
     """True iff every value sitting between two equal values exceeds them."""
-    positions = {}
-    for pos, v in enumerate(word):
-        positions.setdefault(v, []).append(pos)
-    for v, ps in positions.items():
-        if len(ps) > 2:
-            return False  # a middle copy of v is not > v
-        if len(ps) == 2:
-            for q in range(ps[0] + 1, ps[1]):
-                if word[q] <= v:
-                    return False
+    counts = Counter(word)
+    if any(c > 2 for c in counts.values()):
+        return False  # a middle copy of the value is not above it
+    # the values whose second copy is still ahead, increasing upward
+    stack = []
+    for v in word:
+        if stack and v <= stack[-1]:
+            if v != stack.pop():
+                return False
+        elif counts[v] == 2:
+            stack.append(v)
     return True
 
 

@@ -61,6 +61,38 @@ def test_psi_examples():
     assert q.render_tree(q.psi_inv(q.parse_tree("0(2,1(1))"), 2)) == "0(2(2),1)"
 
 
+def test_psi_case_one_examples():
+    # the odd vertex j-1 lies below the moved even vertex: with the
+    # rotation when it is a child of that vertex, without when deeper
+    cases = [
+        (q.psi, "0(2(2(3,1)))", "0(1(1(2,3)))"),
+        (q.psi, "0(2(2(3(3(1)))))", "0(1(1(3(3(2)))))"),
+        (q.psi_inv, "0(1(1(3,2)))", "0(2(2(1,3)))"),
+        (q.psi_inv, "0(1(1(3(3(2)))))", "0(2(2(3(3(1)))))"),
+    ]
+    for f, tree, image in cases:
+        assert q.render_tree(f(q.parse_tree(tree), 2)) == image
+
+
+def test_psi_step_undone_by_the_exchanged_step():
+    # a step (src, dst) followed by (dst, src) restores the list tree and
+    # the very vertex objects in both indexes
+    cases = 0
+    for mult in sweeps.all_mults(6):
+        for w in sweeps.qs_words(mult):
+            for j in range(2, len(mult) + 1):
+                for src, dst in ((j, j - 1), (j - 1, j)):
+                    if mult[src - 1] < 2:
+                        continue
+                    root, odd, up = bijections._word_tree(w, mult)
+                    before = repr(root), list(map(id, odd)), list(map(id, up))
+                    bijections._psi_step(odd, up, src, dst)
+                    bijections._psi_step(odd, up, dst, src)
+                    assert (repr(root), list(map(id, odd)), list(map(id, up))) == before
+                    cases += 1
+    assert cases == 7228
+
+
 def test_psi_rejects():
     t = q.parse_tree("0(1,2(2))")
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
-"""The demos run, and the README's command-line examples print what
-the README says they print."""
+"""The demos run, the README's command-line examples print what the
+README says they print, and the test oracles import nothing from the
+package."""
 
+import ast
 import os
 import re
 import shlex
@@ -51,3 +53,16 @@ def test_readme_cli_examples(capsys):
         code = cli.run(argv)
         out = capsys.readouterr().out
         assert (code, out) == (0, expected), argv
+
+
+def test_oracles_stay_independent_of_the_package():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported.extend(alias.name for alias in node.names)
+    assert imported  # the walk saw the imports
+    assert not [name for name in imported if "qstirling" in name.split(".")]

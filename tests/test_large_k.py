@@ -103,3 +103,13 @@ def test_shift_schedule_matches_its_definition():
         runs = bijections._shift_schedule(mult)
         steps = [j for j, count in runs for _ in range(count)]
         assert steps == oracles.largest_repeat_schedule(mult)
+
+
+def test_stirling_recognizer_on_a_nested_word_of_two_hundred_thousand_letters():
+    n = 10**5
+    nested = list(range(1, n + 1)) + list(range(n, 0, -1))
+    assert q.is_stirling(nested)
+    # swap k and k+1 in the first half: k now sits inside the span of k+1
+    k = n // 2
+    nested[k - 1], nested[k] = nested[k], nested[k - 1]
+    assert not q.is_stirling(nested)
