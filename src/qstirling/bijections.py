@@ -14,11 +14,11 @@ The public functions validate their input once; the kernels behind
 them (the underscored helpers) trust it. Every kernel runs on explicit
 stacks, without recursion, so tree depth is bounded by memory only. The
 word maps go word -> tree of [label, children] lists -> psi steps ->
-word in linear passes: each step finds its odd vertices and their
-holders through value-indexed lists, and _phi reads the list tree as it
-reads a tuple tree. The tree maps psi, psi_inv and big_psi take the
-same path behind phi: tree -> word -> list tree -> psi steps -> word ->
-tree.
+word in linear passes: value-indexed lists find the odd vertices of
+each step, a run of equal steps walks up the tree once, and _phi reads
+the list tree as it reads a tuple tree. The tree maps psi, psi_inv and
+big_psi take the same path behind phi: tree -> word -> list tree -> psi
+steps -> word -> tree.
 
 The tail of the module handles words over the flattened multisets
 {1^m, 2, ..., n} directly: the block decomposition of maximally
@@ -123,7 +123,12 @@ def phi_inv(w):
 # vertices need a parent link. The psi steps move and relabel even
 # vertices only, so neither depth parities nor the holders of odd
 # vertices ever change, and both indexes follow the one label swap of
-# case 1.
+# case 1. A run of count steps walks up once, from up[dst] to its box:
+# the even child of odd[src] whose subtree holds odd[dst], else the root.
+# A step is case 1 exactly when it moves the box. A case-2 step moves a
+# subtree off the path from odd[dst] to the root and keeps the box; after
+# case 1 the new odd[src] lies below the new odd[dst], so the rest of the
+# run is case 2, and the old box, now under odd[dst], never matches again.
 
 
 def _word_tree(w, mult):
@@ -149,17 +154,6 @@ def _word_tree(w, mult):
     return root, odd, up
 
 
-def _is_descendant(r, even, up):
-    """Whether the odd vertex labeled r lies in the subtree of the even
-    vertex."""
-    x = up[r]
-    while x is not even:
-        if not x[0]:  # reached the root
-            return False
-        x = up[x[0]]
-    return True
-
-
 def _case1_attach_order(moved, relabeled):
     # moved subtrees keep their order, relabeled vertex lands rightmost;
     # the inverse direction keys on that rightmost position
@@ -171,11 +165,19 @@ def _rotate_to_front_order(ys, pos):
     return ys[pos + 1 :] + [ys[pos]] + ys[:pos]
 
 
-def _psi_step(odd, up, src, dst):
-    osrc = odd[src]
-    odst = odd[dst]
-    w = osrc[1][-1]
-    if _is_descendant(dst, w, up):
+def _psi_step(odd, up, src, dst, count=1):
+    box = up[dst]
+    while box[0] != src and box[0]:  # stop at the root, label 0
+        box = up[box[0]]
+    for _ in range(count):
+        osrc = odd[src]
+        odst = odd[dst]
+        w = osrc[1][-1]
+        if w is not box:
+            osrc[1].pop()
+            w[0] = dst
+            odst[1].append(w)
+            continue
         pos = w[1].index(odst) if up[dst] is w else -1
         w[0] = dst
         osrc[0] = dst
@@ -185,10 +187,6 @@ def _psi_step(odd, up, src, dst):
         up[src], up[dst] = up[dst], up[src]
         if pos >= 0:
             w[1] = _rotate_to_front_order(w[1], pos)
-    else:
-        osrc[1].pop()
-        w[0] = dst
-        odst[1].append(w)
 
 
 def _shifted_mult(t, j, src, dst):
@@ -270,11 +268,9 @@ def _transport(w, mult, down, lift):
         return w
     root, odd, up = _word_tree(w, mult)
     for j, count in down:
-        for _ in range(count):
-            _psi_step(odd, up, j, j - 1)
+        _psi_step(odd, up, j, j - 1, count)
     for j, count in reversed(lift):
-        for _ in range(count):
-            _psi_step(odd, up, j - 1, j)
+        _psi_step(odd, up, j - 1, j, count)
     return _phi(root)
 
 
@@ -418,6 +414,8 @@ def enumerate_perm_tuples(m, n, anchor=None):
     contains the value 1."""
     if m < 1:
         raise ValueError("need at least one slot")
+    if n < 0:
+        raise ValueError("need n >= 0 values, got %d" % n)
     if anchor is not None and not 1 <= anchor <= m:
         raise ValueError("anchor slot %r out of range 1..%d" % (anchor, m))
     # m - 1 nondecreasing cut points in 0..n split a permutation into the

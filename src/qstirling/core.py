@@ -20,6 +20,7 @@ Everything in this module is a pure function on immutable data.
 
 from collections import Counter
 from math import perm
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .exactpoly import PolyTUV
@@ -42,7 +43,10 @@ class MultisetSpec:
     __slots__ = ("mult",)
 
     def __init__(self, mult):
-        mult = tuple(map(int, mult))
+        try:
+            mult = tuple(map(index, mult))
+        except TypeError:
+            raise ValueError("multiplicities must be integers") from None
         if mult and min(mult) < 1:
             raise ValueError("multiplicities must be >= 1")
         self.mult = mult

@@ -36,34 +36,30 @@ class TreeStats(NamedTuple):
 
 def render_tree(t):
     """The text form of a tree, written from an explicit stack of
-    (subtree, text that follows it)."""
+    subtrees and the literal ")" and "," that follow them."""
     out = []
-    stack = [(t, "")]
+    stack = [t]
     while stack:
-        node, after = stack.pop()
-        if node is None:
-            out.append(after)
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
             continue
-        label, children = node
+        label, children = x
         if not children:
             out.append(str(label))
-            out.append(after)
             continue
         out.append("%d(" % label)
-        if len(after) > 32:
-            # queue a long tail on its own rather than copy it once more
-            # per level of a deep rightmost chain
-            stack.append((None, after))
-            after = ""
-        stack.append((children[-1], ")" + after))
-        for child in children[-2::-1]:
-            stack.append((child, ","))
+        stack.append(")")
+        for child in children[:0:-1]:
+            stack.append(child)
+            stack.append(",")
+        stack.append(children[0])
     return "".join(out)
 
 
 def _parse_label(text, pos):
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ValueError("expected a label at position %d in %r" % (start, text))

@@ -300,6 +300,13 @@ def test_enumerate_perm_tuples_counts():
             assert set(anchored) <= set(tuples)
 
 
+def test_enumerate_perm_tuples_rejects_a_negative_size():
+    assert list(q.enumerate_perm_tuples(1, 0)) == [((),)]
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="n >= 0"):
+            list(q.enumerate_perm_tuples(m, -1))
+
+
 def test_zeta_examples():
     assert q.zeta(((1,), (2,))) == (1, 2, 1)
     assert q.zeta(((3, 1), (2,))) == (3, 1, 2, 1)

@@ -61,6 +61,14 @@ def test_stats_rejects_invalid_tree(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("label", ["\u00b2", "\u0661"])
+def test_stats_rejects_a_label_digit_outside_ascii(capsys, label):
+    # superscript two and Arabic-Indic one pass str.isdigit
+    code, out, err = run_cli(capsys, "stats", "--tree", "0(%s)" % label)
+    assert code == 2 and out == "" and "expected a label at position 2" in err
+    assert "invalid literal" not in err
+
+
 def test_poly_json(capsys):
     code, out, _ = run_cli(capsys, "poly", "--mult", "2,1")
     assert code == 0

@@ -38,6 +38,15 @@ def test_multiset_wire():
             q.MultisetSpec.from_text(bad)
 
 
+@pytest.mark.parametrize("bad", [(2.7, 1), (2, 1.0), ("3",), (None,)])
+def test_multiset_rejects_non_integer_multiplicities(bad):
+    # int() would truncate 2.7 to 2 and carry on over the wrong multiset
+    with pytest.raises(ValueError, match="must be integers"):
+        q.MultisetSpec(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        q.transport((1, 1, 2), bad)
+
+
 def test_word_spec():
     assert q.word_spec((2, 1, 2)).mult == (1, 2)
     assert q.word_spec(()).mult == ()

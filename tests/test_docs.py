@@ -66,3 +66,23 @@ def test_oracles_stay_independent_of_the_package():
             imported.extend(alias.name for alias in node.names)
     assert imported  # the walk saw the imports
     assert not [name for name in imported if "qstirling" in name.split(".")]
+
+
+def test_package_functions_never_call_themselves():
+    # the README promises that the maps, enumeration and the tree text
+    # form run on explicit stacks: no function may call its own name
+    defined = 0
+    recursive = []
+    for path in sorted((ROOT / "src" / "qstirling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined += 1
+                recursive.extend(
+                    "%s:%s" % (path.name, node.name)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                )
+    assert defined > 100  # the walk saw the package
+    assert not recursive

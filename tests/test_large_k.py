@@ -1,8 +1,8 @@
 """Every map at sizes far past the exhaustive sweeps: K = 10^4 words, the
-flattening at its most expensive profile, a tree of depth 4000 through
-the command line, and one-word families of 1200 letters. Words come from
-the seeded generator in `oracles`; statistics are checked against the
-oracle's padded count."""
+flattening at its most expensive profile and on a nested word of depth
+4000, a tree of depth 4000 through the command line, and one-word
+families of 1200 letters. Words come from the seeded generator in
+`oracles`; statistics are checked against the oracle's padded count."""
 
 from collections import Counter
 
@@ -78,6 +78,46 @@ def test_high_profile_round_trips():
     assert q.big_phi_inv(flat, HIGH) == w
     assert q.transport(w, HIGH[::-1]) == flat
     assert q.transport(flat, HIGH) == w
+
+
+def _nested(n):
+    return tuple(range(1, n + 1)) + tuple(range(n, 0, -1))
+
+
+def test_flattening_round_trip_on_a_nested_word_of_four_thousand_letters():
+    # n (n - 1) / 2 psi steps, each at the bottom of a chain 2n deep
+    w = _nested(2000)
+    flat = q.big_phi(w)
+    _assert_image(flat, w, (2001,) + (1,) * 1999)
+    assert q.big_phi_inv(flat, (2,) * 2000) == w
+
+
+class _CountingList(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_psi_runs_read_the_holders_less_than_k_squared_times(monkeypatch):
+    # a run of equal psi steps walks up the tree once, not once per step
+    word_tree = bijections._word_tree
+    made = []
+
+    def counted(w, mult):
+        root, odd, up = word_tree(w, mult)
+        made.append(_CountingList(up))
+        return root, odd, made[-1]
+
+    monkeypatch.setattr(bijections, "_word_tree", counted)
+    w = _nested(200)
+    k = len(w)
+    assert q.big_phi_inv(q.big_phi(w), (2,) * 200) == w
+    assert len(made) == 2
+    assert all(0 < up.reads < k * k for up in made), [up.reads for up in made]
 
 
 def test_depth_4000_tree_through_the_cli(capsys):

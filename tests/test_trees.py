@@ -30,7 +30,9 @@ def test_parse_shapes():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "0(", "0)", "0(1", "0(1))", "0(1),1", "0(01)", "0(,1)", "0()", "x", "0(1)x"],
+    ["", "0(", "0)", "0(1", "0(1))", "0(1),1", "0(01)", "0(,1)", "0()", "x", "0(1)x"]
+    # digits outside ASCII, which str.isdigit accepts
+    + ["0(\u00b2)", "0(\u0661)"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
