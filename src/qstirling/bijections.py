@@ -249,6 +249,7 @@ def _shift_schedule(mult):
 
 def flattened_spec(spec):
     """The multiset with the same n and K in which only value 1 repeats."""
+    spec = _as_spec(spec)
     if spec.n == 0:
         return spec
     return MultisetSpec((spec.K - spec.n + 1,) + (1,) * (spec.n - 1))
@@ -418,6 +419,10 @@ def enumerate_perm_tuples(m, n, anchor=None):
         raise ValueError("need n >= 0 values, got %d" % n)
     if anchor is not None and not 1 <= anchor <= m:
         raise ValueError("anchor slot %r out of range 1..%d" % (anchor, m))
+    return _perm_tuples(m, n, anchor)
+
+
+def _perm_tuples(m, n, anchor):
     # m - 1 nondecreasing cut points in 0..n split a permutation into the
     # slots; in lex order they list the slot sizes in lex order
     cuts = [

@@ -17,6 +17,7 @@ import functools
 import json
 import signal
 import sys
+from itertools import islice
 
 from . import bijections, core, excedance, genfun, trees, verify
 
@@ -57,12 +58,16 @@ def _verdict_line(ok, name, cases):
 
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    words = (core.word_to_text(w) for w in core.enumerate_qs(spec))
+    words = core.enumerate_qs(spec)
     if args.format == "json":
-        _emit_json(list(words))
-    else:
-        for line in words:
-            print(line)
+        _emit_json([core.word_to_text(w) for w in words])
+        return 0
+    # every word has K letters: one template formats a line, and the lines
+    # go out in blocks of about 32 KB, which adds nothing to peak memory
+    line = ",".join(["%d"] * spec.K) + "\n"
+    per_block = (1 << 15) // len(line) + 1
+    while block := "".join([line % w for w in islice(words, per_block)]):
+        sys.stdout.write(block)
     return 0
 
 

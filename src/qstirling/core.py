@@ -192,21 +192,29 @@ def is_stirling(word) -> bool:
 
 
 def enumerate_qs(spec) -> Iterator[tuple]:
-    """Yield the quasi-Stirling permutations of the multiset in lex order.
+    """Iterate over the quasi-Stirling permutations of the multiset in lex order.
 
     Backtracking with the open-value stack: a value may be placed only
     when it is fresh or currently on top of the stack, which prunes
-    exactly the crossing patterns. The search runs on explicit stacks,
-    keeping per depth the next value to try there, so K is bounded by
-    memory only.
+    exactly the crossing patterns. Once a single value f is still fresh,
+    the rest is forced but for where f goes: the open values close from
+    the top down (the tail), with the block of all copies of f at some
+    position of the tail. So the search takes one step per letter until
+    a single value is fresh, then one tuple per word. It runs on explicit
+    stacks, keeping per depth the next value to try there, so K is
+    bounded by memory only.
     """
-    n = spec.n
-    K = spec.K
-    if K == 0:
-        yield ()
+    return _enumerate_qs(_as_spec(spec).mult)
+
+
+def _enumerate_qs(mult):
+    n = len(mult)
+    if n < 2:
+        yield (1,) * sum(mult)
         return
-    cap = (0,) + spec.mult
+    cap = (0,) + mult
     placed = [0] * (n + 1)
+    fresh = n
     stack = []
     word = []
     next_try = [1]
@@ -219,14 +227,28 @@ def enumerate_qs(spec) -> Iterator[tuple]:
             next_try[-1] = v + 1
             if not placed[v]:
                 stack.append(v)
+                fresh -= 1
             placed[v] += 1
             if placed[v] == cap[v]:
                 stack.pop()
             word.append(v)
-            if len(word) < K:
+            if fresh > 1:
                 next_try.append(1)
                 continue
-            yield tuple(word)
+            f = placed.index(0, 1)
+            head = tuple(word)
+            tail = ()
+            for u in reversed(stack):
+                tail += (u,) * (cap[u] - placed[u])
+            block = (f,) * cap[f]
+            # f at i comes before every later position exactly when f < tail[i]
+            for i in range(len(tail)):
+                if f < tail[i]:
+                    yield head + tail[:i] + block + tail[i:]
+            yield head + tail + block
+            for i in range(len(tail) - 1, -1, -1):
+                if f > tail[i]:
+                    yield head + tail[:i] + block + tail[i:]
         else:
             next_try.pop()
             if not word:
@@ -238,10 +260,12 @@ def enumerate_qs(spec) -> Iterator[tuple]:
         placed[v] -= 1
         if not placed[v]:
             stack.pop()
+            fresh += 1
 
 
 def qs_count(spec) -> int:
     """Size K!/(K-n+1)! of the quasi-Stirling family of the multiset."""
+    spec = _as_spec(spec)
     # the empty multiset has one word, the empty one
     return perm(spec.K, spec.n - 1) if spec.n else 1
 

@@ -257,5 +257,4 @@ def enumerate_J(n, r):
     lexicographic order of their value sequences; there are n!/r!."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    for values in permutations(range(1, n + 1), n - r):
-        yield PartialInj(n, values)
+    return (PartialInj(n, values) for values in permutations(range(1, n + 1), n - r))

@@ -23,7 +23,7 @@ zeros.
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
-from .core import MultisetSpec
+from .core import MultisetSpec, _as_spec
 
 
 class TreeStats(NamedTuple):
@@ -144,6 +144,7 @@ def infer_spec(t):
 
 def tree_violation(t, spec) -> Optional[str]:
     """None if the tree belongs to the family over `spec`, else a reason."""
+    spec = _as_spec(spec)
     try:
         found = infer_spec(t)
     except ValueError as e:
@@ -241,5 +242,9 @@ def _trees(spec):
 
 
 def enumerate_trees(spec):
-    """Yield every tree over `spec`, ordered by serialized form."""
+    """Iterate over every tree over `spec`, ordered by serialized form."""
+    return _sorted_trees(_as_spec(spec))
+
+
+def _sorted_trees(spec):
     yield from sorted(_trees(spec), key=render_tree)

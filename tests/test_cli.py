@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,21 @@ def test_enumerate_json(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--mult", "2,2", "--format", "json")
     assert code == 0
     assert out == '["1,1,2,2", "1,2,2,1", "2,1,1,2", "2,2,1,1"]\n'
+
+
+def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
+    spec = core.MultisetSpec((2, 2, 2, 2, 2))
+    want = "".join(core.word_to_text(w) + "\n" for w in core.enumerate_qs(spec))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.run(["enumerate", "--mult", "2,2,2,2,2"]) == 0
+    monkeypatch.undo()
+    assert "".join(writes) == want and want.count("\n") == 5040
+    # streamed: more than one write, none holding the whole family
+    assert 1 < len(writes) and max(map(len, writes)) < len(want)
+    code, out, _ = run_cli(capsys, "enumerate", "--mult", "2,2,2,2,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == want.splitlines()
 
 
 def test_stats_word(capsys):

@@ -2,6 +2,7 @@
 definitional oracles."""
 
 import time
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -136,6 +137,41 @@ def test_enumeration_differential_full_size():
         ]
         assert list(sweeps.qs_words(mult)) == filtered
         assert len(filtered) == factorial(8) // factorial(8 - spec.n + 1)
+
+
+@pytest.mark.parametrize("mult", [(3, 1, 3, 2, 1), (1, 3, 2, 3, 1)])
+def test_enumeration_differential_past_the_sweep(mult):
+    # K = 10: the value left fresh last falls below some values still
+    # open and above others, so its block goes both before and after them
+    spec = q.MultisetSpec(mult)
+    words = list(q.enumerate_qs(spec))
+    assert words == [
+        w for w in oracles.multiset_permutations(mult) if q.is_quasi_stirling(w)
+    ]
+    assert len(words) == q.qs_count(spec)
+
+
+def test_enumeration_properties_at_fourteen_letters():
+    mult = (5, 1, 4, 1, 3)
+    want = Counter(dict(enumerate(mult, 1)))
+    spec = q.MultisetSpec(mult)
+    words = list(q.enumerate_qs(spec))
+    assert len(words) == q.qs_count(spec) == factorial(14) // factorial(10)
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in words)
+
+
+def test_entry_points_take_a_multiplicity_tuple():
+    spec = q.MultisetSpec((2, 2))
+    assert list(q.enumerate_qs((2, 2))) == list(q.enumerate_qs(spec))
+    assert q.qs_count((2, 2)) == q.qs_count(spec) == 4
+    assert q.qs_polynomial((2, 2)) == q.qs_polynomial(spec)
+    assert list(q.enumerate_trees((2, 2))) == list(q.enumerate_trees(spec))
+    assert q.flattened_spec((2, 2)) == q.MultisetSpec((3, 1))
+    assert q.validate_tree((0, ((1, ()),)), (1,))
+    for fn in (q.enumerate_qs, q.qs_count, q.qs_polynomial, q.enumerate_trees):
+        with pytest.raises(ValueError, match=">= 1"):
+            fn((2, 0))  # raised at the call, before any word is drawn
 
 
 def test_enumerate_qs_empty_spec():

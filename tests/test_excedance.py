@@ -146,6 +146,12 @@ def test_enumerate_J_counts():
             assert values == sorted(values)
 
 
+def test_enumerate_J_rejects_at_the_call():
+    for n, r in ((3, 0), (2, 3)):
+        with pytest.raises(ValueError, match="1 <= r <= n"):
+            q.enumerate_J(n, r)
+
+
 # -- chi ---------------------------------------------------------------
 
 
