@@ -40,14 +40,10 @@ def _parse_inj(text):
     return excedance.PartialInj.from_text(text)
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True))
-
-
 def _emit(args, payload, line):
     """Print the payload as JSON, or the line as text, per --format."""
     if args.format == "json":
-        _emit_json(payload)
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(line)
 
@@ -59,15 +55,19 @@ def _verdict_line(ok, name, cases):
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     words = core.enumerate_qs(spec)
+    # both formats are lead + sep.join(items) + end; every word has K
+    # letters, so one template formats an item, and the items go out in
+    # blocks of about 32 KB, which adds nothing to peak memory
+    item = ",".join(["%d"] * spec.K)
     if args.format == "json":
-        _emit_json([core.word_to_text(w) for w in words])
-        return 0
-    # every word has K letters: one template formats a line, and the lines
-    # go out in blocks of about 32 KB, which adds nothing to peak memory
-    line = ",".join(["%d"] * spec.K) + "\n"
-    per_block = (1 << 15) // len(line) + 1
-    while block := "".join([line % w for w in islice(words, per_block)]):
-        sys.stdout.write(block)
+        item, lead, sep, end = '"%s"' % item, "[", ", ", "]\n"
+    else:
+        lead, sep, end = "", "\n", "\n"
+    per_block = (1 << 15) // (len(item) + len(sep)) + 1
+    while block := sep.join([item % w for w in islice(words, per_block)]):
+        sys.stdout.write(lead + block)
+        lead = sep
+    sys.stdout.write(end)
     return 0
 
 

@@ -7,6 +7,8 @@ every operation returns a fresh object.
 """
 
 from fractions import Fraction
+from itertools import chain
+from operator import index
 
 
 def _norm(c):
@@ -44,14 +46,21 @@ class PolyTUV:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        # the one place where terms merge: exponents must be integers
+        # (read through operator.index, so 0.5 or 1.9 is refused, not
+        # truncated) and coefficients ints or Fractions
         data = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                et, eu, ev = key
-                if et < 0 or eu < 0 or ev < 0:
+            for (et, eu, ev), c in items:
+                try:
+                    key = (index(et), index(eu), index(ev))
+                except TypeError:
+                    raise ValueError("exponents must be integers") from None
+                if min(key) < 0:
                     raise ValueError("exponents must be non-negative")
-                key = (int(et), int(eu), int(ev))
+                if not isinstance(c, (int, Fraction)):
+                    raise ValueError("coefficients must be ints or Fractions")
                 c = _norm(data.get(key, 0) + c)
                 if c:
                     data[key] = c
@@ -92,28 +101,15 @@ class PolyTUV:
             other = PolyTUV.constant(other)
         if not isinstance(other, PolyTUV):
             return NotImplemented
-        data = dict(self.terms)
-        for key, c in other.terms.items():
-            s = _norm(data.get(key, 0) + c)
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        out = PolyTUV()
-        out.terms = data
-        return out
+        return PolyTUV(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PolyTUV()
-        out.terms = {key: -c for key, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyTUV.constant(other)
-        if not isinstance(other, PolyTUV):
+        if not isinstance(other, (int, Fraction, PolyTUV)):
             return NotImplemented
         return self + (-other)
 
@@ -122,25 +118,14 @@ class PolyTUV:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return PolyTUV()
-            out = PolyTUV()
-            out.terms = {k: _norm(c * other) for k, c in self.terms.items()}
-            return out
+            other = PolyTUV.constant(other)
         if not isinstance(other, PolyTUV):
             return NotImplemented
-        data = {}
-        for (a1, a2, a3), c in self.terms.items():
-            for (b1, b2, b3), d in other.terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3)
-                s = _norm(data.get(key, 0) + c * d)
-                if s:
-                    data[key] = s
-                else:
-                    data.pop(key, None)
-        out = PolyTUV()
-        out.terms = data
-        return out
+        return PolyTUV(
+            ((a1 + b1, a2 + b2, a3 + b3), c * d)
+            for (a1, a2, a3), c in self.terms.items()
+            for (b1, b2, b3), d in other.terms.items()
+        )
 
     __rmul__ = __mul__
 

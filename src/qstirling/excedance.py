@@ -196,38 +196,29 @@ def chi(w):
 
 
 def _chi(w, n):
-    # w is a word over {1, ..., n-1, n^m}
-    relabeled = []
-    nxt = n
-    last_top = -1
+    # w is a word over {1, ..., n-1, n^m}. Each element maps to the next
+    # one, except that a relabeled copy of n ends its path, and the last
+    # element of a cycle maps back to its first; a cycle closes at the
+    # next left-to-right minimum after the last copy, or at the end.
+    values = [0] * (n - 1)
+    cycles_from = len(w) - w[::-1].index(n)
+    top = n
+    prev = first = 0
     for i, v in enumerate(w):
         if v == n:
-            relabeled.append(nxt)
-            nxt += 1
-            last_top = i
-        else:
-            relabeled.append(v)
-    paths = []
-    seg = []
-    for v in relabeled[: last_top + 1]:
-        seg.append(v)
-        if v >= n:
-            paths.append(tuple(seg))
-            seg = []
-    cycles = []
-    cur = []
-    low = None
-    for v in relabeled[last_top + 1 :]:
-        if low is None or v < low:
-            if cur:
-                cycles.append(tuple(cur))
-            cur = [v]
-            low = v
-        else:
-            cur.append(v)
-    if cur:
-        cycles.append(tuple(cur))
-    return from_path_cycle(PathCycleRep(tuple(paths), tuple(cycles)))
+            v = top
+            top += 1
+        elif i >= cycles_from and (not first or v < first):
+            if first:
+                values[prev - 1] = first
+            first = prev = v
+            continue
+        if prev:
+            values[prev - 1] = v
+        prev = v if v < n else 0
+    if first:
+        values[prev - 1] = first
+    return PartialInj(top - 1, values)
 
 
 def chi_inv(s):

@@ -16,7 +16,7 @@ trees), so a kernel that strays outside the family fails the identity.
 """
 
 from collections import Counter
-from itertools import combinations, compress, product
+from itertools import combinations
 from operator import sub
 
 from . import bijections, core, excedance, genfun, trees
@@ -24,22 +24,11 @@ from . import bijections, core, excedance, genfun, trees
 DEFAULT_ORDER = 8
 
 
-def compositions(total, parts=None):
-    """All ordered sequences of positive integers summing to `total` >= 1,
-    or only those with `parts` terms, in lex order.
-
-    Each is read off its cut points in 1..total-1: every subset, as
-    "cut here" bits from all cuts down to none, or every subset of
-    parts - 1 points in lex order.
-    """
-    if parts is None:
-        cuts = (
-            compress(range(1, total), bits)
-            for bits in product((1, 0), repeat=total - 1)
-        )
-    else:
-        cuts = combinations(range(1, total), parts - 1)
-    for inner in cuts:
+def compositions(total, parts):
+    """The ordered sequences of `parts` positive integers summing to
+    `total` >= 1, in lex order: each is read off its parts - 1 cut
+    points in 1..total-1, taken in lex order."""
+    for inner in combinations(range(1, total), parts - 1):
         bounds = (0, *inner, total)
         yield tuple(map(sub, bounds[1:], bounds))
 
@@ -60,7 +49,8 @@ def sweep_domain(name, max_K):
     return [
         core.MultisetSpec(mult)
         for K in range(1, max_K + 1)
-        for mult in compositions(K)
+        for parts in range(1, K + 1)
+        for mult in compositions(K, parts)
     ]
 
 

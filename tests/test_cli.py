@@ -42,9 +42,15 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
     assert "".join(writes) == want and want.count("\n") == 5040
     # streamed: more than one write, none holding the whole family
     assert 1 < len(writes) and max(map(len, writes)) < len(want)
-    code, out, _ = run_cli(capsys, "enumerate", "--mult", "2,2,2,2,2", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == want.splitlines()
+    # the JSON array streams the same way
+    want = json.dumps(want.splitlines(), sort_keys=True) + "\n"
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.run(["enumerate", "--mult", "2,2,2,2,2", "--format", "json"]) == 0
+    monkeypatch.undo()
+    assert "".join(writes) == want
+    # no write holds the whole family: each word is two quotes
+    assert 1 < len(writes) and max(w.count('"') for w in writes) < 2 * 5040
 
 
 def test_stats_word(capsys):
@@ -269,6 +275,16 @@ def test_verify_check_with_mult_operand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "thm12", "--mult", "21,1")
     assert code == 0
     assert json.loads(out)["cases"] == 21
+
+
+def test_compositions_by_part_count():
+    for K in range(1, 11):
+        every = list(sweeps.compositions(K))
+        for parts in range(1, K + 1):
+            want = [m for m in every if len(m) == parts]
+            assert list(verify.compositions(K, parts)) == want
+    domain = verify.sweep_domain("thm22", 6)
+    assert len(domain) == len({spec.mult for spec in domain}) == 63
 
 
 def test_verify_suite_json(capsys):

@@ -1,8 +1,9 @@
 """The demos run, the README's command-line examples print what the
-README says they print, and the test oracles import nothing from the
-package."""
+README says they print, the test oracles import nothing from the
+package, and every name the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import re
 import shlex
@@ -86,3 +87,27 @@ def test_package_functions_never_call_themselves():
                 )
     assert defined > 100  # the walk saw the package
     assert not recursive
+
+
+def test_benchmark_trace_targets_exist():
+    # perfbench/tracer.py wraps these names by lookup; read its TARGETS
+    # without importing it, so a deleted name fails here too
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    targets = ast.literal_eval(targets)
+    assert len(targets) > 30  # the walk found the table
+    missing = []
+    for module, attr, _, _ in targets:
+        mod = importlib.import_module("qstirling." + module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            if meth not in vars(getattr(mod, cls_name, object)):
+                missing.append("%s.%s" % (module, attr))
+        elif not hasattr(mod, attr):
+            missing.append("%s.%s" % (module, attr))
+    assert not missing

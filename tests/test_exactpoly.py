@@ -55,6 +55,33 @@ def test_fraction_coefficients_normalize():
     assert not (t * Fraction(1, 2)).is_integral()
 
 
+def test_constructor_keeps_exponents_and_coefficients_exact():
+    # exponents are read through operator.index, never truncated
+    for key in ((0.5, 0, 0), (1.9, 0, 0), (0, Fraction(1), 0), (0, 0, "1")):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PolyTUV({key: 1})
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        PolyTUV.monomial(1.9, 0, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        PolyTUV({(0, -1, 0): 1})
+    # coefficients are ints or Fractions only
+    for c in (1.5, 1.0, "1", complex(1)):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            PolyTUV({(0, 0, 0): c})
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            PolyTUV([((1, 0, 0), 1), ((1, 0, 0), c)])
+    assert PolyTUV({(True, 0, 0): Fraction(4, 2)}).terms == {(1, 0, 0): 2}
+    # arithmetic merges terms through the same constructor
+    t = PolyTUV.monomial(1, 0, 0)
+    assert (t + Fraction(1, 2)).terms == {(1, 0, 0): 1, (0, 0, 0): Fraction(1, 2)}
+    assert (t * Fraction(2, 4) * 2).terms == {(1, 0, 0): 1}
+    # a float operand is not a polynomial either
+    with pytest.raises(TypeError):
+        t + 1.5
+    with pytest.raises(TypeError):
+        t * 1.5
+
+
 def test_value_at():
     p = _qs22()
     assert p.value_at(1, 1, 1) == 4
