@@ -28,7 +28,7 @@ sequences into a single word.
 
 from itertools import combinations_with_replacement, permutations
 
-from .core import MultisetSpec, _as_spec, is_quasi_stirling, stats, word_spec
+from .core import MultisetSpec, _as_spec, _ascii_numbers, is_quasi_stirling, stats, word_spec
 from .trees import infer_spec
 
 
@@ -396,6 +396,7 @@ def check_perm_tuple(parts, anchored=False):
 
 def perm_tuple_from_text(text):
     """Parse '3,1||2' into ((3, 1), (), (2,))."""
+    _ascii_numbers(text)
     try:
         return tuple(
             tuple(int(x) for x in chunk.split(",")) if chunk else ()

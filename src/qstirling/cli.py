@@ -54,17 +54,16 @@ def _verdict_line(ok, name, cases):
 
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    words = core.enumerate_qs(spec)
-    # both formats are lead + sep.join(items) + end; every word has K
-    # letters, so one template formats an item, and the items go out in
+    # the search writes each letter as "v,", so a word is its text and a
+    # comma; both formats are lead + sep.join(words) + end, written in
     # blocks of about 32 KB, which adds nothing to peak memory
-    item = ",".join(["%d"] * spec.K)
+    words = core._enumerate_qs(spec.mult, ["%d," % v for v in range(spec.n + 1)])
     if args.format == "json":
-        item, lead, sep, end = '"%s"' % item, "[", ", ", "]\n"
+        lead, sep, end = '["', '", "', '"]\n'
     else:
         lead, sep, end = "", "\n", "\n"
-    per_block = (1 << 15) // (len(item) + len(sep)) + 1
-    while block := sep.join([item % w for w in islice(words, per_block)]):
+    per_block = (1 << 15) // (2 * spec.K + len(sep)) + 1
+    while block := sep.join([w[:-1] for w in islice(words, per_block)]):
         sys.stdout.write(lead + block)
         lead = sep
     sys.stdout.write(end)
@@ -126,7 +125,7 @@ def _cmd_map(args):
     elif which.startswith("psi:") or which.startswith("psi-inv:"):
         token, _, jtext = which.partition(":")
         try:
-            j = int(jtext)
+            j = int(core._ascii_numbers(jtext))
         except ValueError:
             msg = "map %r takes an integer j, as in %s:2" % (which, token)
             raise ValueError(msg) from None

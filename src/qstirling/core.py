@@ -61,7 +61,7 @@ class MultisetSpec:
 
     @classmethod
     def from_text(cls, text):
-        text = text.strip()
+        text = _ascii_numbers(text).strip()
         if not text:
             raise ValueError("empty multiplicity list")
         try:
@@ -90,9 +90,17 @@ def _as_spec(m):
     return m if isinstance(m, MultisetSpec) else MultisetSpec(m)
 
 
+def _ascii_numbers(text):
+    """text, unless int() would read a number in it from a non-ASCII digit
+    ('\u0663' is 3), a '_' ('1_0' is 10) or a '+' sign."""
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError("numbers take ASCII digits only, no '_' or '+': %r" % text)
+    return text
+
+
 def word_from_text(text):
     """Parse the comma-separated wire format; empty text is the empty word."""
-    text = text.strip()
+    text = _ascii_numbers(text).strip()
     if not text:
         return ()
     try:
@@ -200,17 +208,22 @@ def enumerate_qs(spec) -> Iterator[tuple]:
     the rest is forced but for where f goes: the open values close from
     the top down (the tail), with the block of all copies of f at some
     position of the tail. So the search takes one step per letter until
-    a single value is fresh, then one tuple per word. It runs on explicit
-    stacks, keeping per depth the next value to try there, so K is
-    bounded by memory only.
+    a single value is fresh, then builds the letters placed so far once
+    per group and each word as that head + the tail cut at one place +
+    the block. It writes a letter v as the piece unit[v]: (v,) here; the
+    CLI passes the text "v,", so each word comes out as text. It runs on
+    explicit stacks, keeping per depth the next value to try there, so K
+    is bounded by memory only.
     """
     return _enumerate_qs(_as_spec(spec).mult)
 
 
-def _enumerate_qs(mult):
+def _enumerate_qs(mult, unit=None):
     n = len(mult)
+    ints = unit is None
+    unit = [(v,) for v in range(n + 1)] if ints else unit
     if n < 2:
-        yield (1,) * sum(mult)
+        yield unit[n] * sum(mult)  # n = 0: the empty word, whatever the piece
         return
     cap = (0,) + mult
     placed = [0] * (n + 1)
@@ -236,19 +249,22 @@ def _enumerate_qs(mult):
                 next_try.append(1)
                 continue
             f = placed.index(0, 1)
-            head = tuple(word)
-            tail = ()
+            head = tuple(word) if ints else "".join([unit[u] for u in word])
+            tail = head[:0]
+            # the offsets of the tail's letters above and below f: f at a
+            # letter u comes before every later place exactly when f < u
+            above, below = [], []
             for u in reversed(stack):
-                tail += (u,) * (cap[u] - placed[u])
-            block = (f,) * cap[f]
-            # f at i comes before every later position exactly when f < tail[i]
-            for i in range(len(tail)):
-                if f < tail[i]:
-                    yield head + tail[:i] + block + tail[i:]
+                run = unit[u] * (cap[u] - placed[u])
+                at = range(len(tail), len(tail) + len(run), len(unit[u]))
+                (above if f < u else below).extend(at)
+                tail += run
+            block = unit[f] * cap[f]
+            for i in above:
+                yield head + tail[:i] + block + tail[i:]
             yield head + tail + block
-            for i in range(len(tail) - 1, -1, -1):
-                if f > tail[i]:
-                    yield head + tail[:i] + block + tail[i:]
+            for i in reversed(below):
+                yield head + tail[:i] + block + tail[i:]
         else:
             next_try.pop()
             if not word:

@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .bijections import _flat_word_params
-from .core import _complement
+from .core import _ascii_numbers, _complement
 
 
 class PartialInj:
@@ -47,7 +47,7 @@ class PartialInj:
     @classmethod
     def from_text(cls, text):
         """Parse 'n:v1,v2,...' (or 'n:' for an empty domain)."""
-        head, sep, body = text.partition(":")
+        head, sep, body = _ascii_numbers(text).partition(":")
         if not sep:
             raise ValueError("expected 'n:v1,v2,...', got %r" % text)
         try:
@@ -156,6 +156,7 @@ def render_path_cycle(rep):
 
 
 def parse_path_cycle(text):
+    _ascii_numbers(text)
     paths = []
     cycles = []
     pos = 0

@@ -32,6 +32,18 @@ def test_enumerate_json(capsys):
     assert out == '["1,1,2,2", "1,2,2,1", "2,1,1,2", "2,2,1,1"]\n'
 
 
+def test_enumerate_one_value(capsys):
+    assert run_cli(capsys, "enumerate", "--mult", "5")[1] == "1,1,1,1,1\n"
+    out = run_cli(capsys, "enumerate", "--mult", "5", "--format", "json")[1]
+    assert out == '["1,1,1,1,1"]\n'
+
+
+def test_enumerate_json_is_the_dumped_family(capsys):
+    words = [core.word_to_text(w) for w in core.enumerate_qs((3, 1, 3, 2, 1))]
+    code, out, _ = run_cli(capsys, "enumerate", "--mult", "3,1,3,2,1", "--format", "json")
+    assert code == 0 and out == json.dumps(words, sort_keys=True) + "\n"
+
+
 def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
     spec = core.MultisetSpec((2, 2, 2, 2, 2))
     want = "".join(core.word_to_text(w) + "\n" for w in core.enumerate_qs(spec))
@@ -409,6 +421,10 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("verify", "--suite", "--mult", "2,1", "--max-K", "3"),
         ("map", "--which", "psi:2", "--tree", "0(1(1))"),  # n < 2
         ("map", "--which", "psi-inv:x", "--tree", "0(1,2(2))"),
+        # int() would read these as 1,1 and 10
+        ("enumerate", "--mult", "\u0661,\u0661"),
+        ("count", "--mult", "1_0"),
+        ("map", "--which", "psi:+2", "--tree", "0(1,2(2))"),
     ]
     # an operand or flag the run does not read is rejected, not ignored
     unread = [

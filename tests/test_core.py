@@ -2,7 +2,9 @@
 definitional oracles."""
 
 import time
+import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import qstirling as q
 import oracles
 import sweeps
+from qstirling import core
 
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 
@@ -18,6 +21,8 @@ def test_word_wire_round_trip():
     assert q.word_from_text("2,7,4") == (2, 7, 4)
     assert q.word_from_text("") == ()
     assert q.word_from_text(" 1,2 ") == (1, 2)
+    with pytest.raises(ValueError, match="positive"):
+        q.word_from_text("-1")  # read as -1, not refused as text
     assert q.word_to_text((2, 7, 4)) == "2,7,4"
     assert q.word_to_text(()) == ""
 
@@ -28,12 +33,37 @@ def test_word_from_text_rejects(bad):
         q.word_from_text(bad)
 
 
+# int() reads other scripts' digits, '_' between digits and a '+' sign;
+# the wire formats take ASCII digits only
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (q.word_from_text, "\u0663"),
+        (q.word_from_text, "1_0"),
+        (q.word_from_text, "+2"),
+        (q.word_from_text, "1,\u0662"),
+        (q.MultisetSpec.from_text, "\u0661,\u0661"),
+        (q.MultisetSpec.from_text, "2,1_0"),
+        (q.PartialInj.from_text, "3:+1"),
+        (q.PartialInj.from_text, "\u0663:1"),
+        (q.parse_path_cycle, "<1_0>"),
+        (q.parse_path_cycle, "(+1)"),
+        (q.perm_tuple_from_text, "+1|2"),
+        (q.perm_tuple_from_text, "1|\uff12"),
+    ],
+)
+def test_wire_parsers_take_ascii_digits_only(parse, text):
+    with pytest.raises(ValueError, match="ASCII digits only"):
+        parse(text)
+
+
 def test_multiset_wire():
     spec = q.MultisetSpec.from_text("2,2,1")
     assert spec.mult == (2, 2, 1)
     assert spec.n == 3
     assert spec.K == 5
     assert spec.to_text() == "2,2,1"
+    assert q.MultisetSpec.from_text(" 2,1 ").mult == (2, 1)
     for bad in ["", "0,1", "2,-1", "x"]:
         with pytest.raises(ValueError):
             q.MultisetSpec.from_text(bad)
@@ -161,6 +191,30 @@ def test_enumeration_properties_at_fourteen_letters():
     assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in words)
 
 
+def test_text_kernel_spells_the_tuple_words():
+    # pieces of unequal widths, as the CLI's "10," is wider than "9,"
+    for mult in sweeps.all_mults(7) + [(3, 1, 3, 2, 1)]:
+        unit = ["x" * v + "," for v in range(len(mult) + 1)]
+        want = ["".join(unit[v] for v in w) for w in sweeps.qs_words(mult)]
+        assert list(core._enumerate_qs(mult, unit)) == want, mult
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_enumeration_memory_stays_linear(text):
+    # the first words of a 5,000-letter family: a prefix kept per depth
+    # would take about K^2 / 2 pointers, some 100 MB
+    mult = (4998, 1, 1)
+    unit = ["%d," % v for v in range(4)]
+    tracemalloc.start()
+    try:
+        words = core._enumerate_qs(mult, unit) if text else q.enumerate_qs(mult)
+        first = list(islice(words, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 3 and peak < 1 << 20
+
+
 def test_entry_points_take_a_multiplicity_tuple():
     spec = q.MultisetSpec((2, 2))
     assert list(q.enumerate_qs((2, 2))) == list(q.enumerate_qs(spec))
@@ -176,6 +230,7 @@ def test_entry_points_take_a_multiplicity_tuple():
 
 def test_enumerate_qs_empty_spec():
     assert list(q.enumerate_qs(q.MultisetSpec(()))) == [()]
+    assert list(q.enumerate_qs(())) == [()]
     assert q.qs_count(q.MultisetSpec(())) == 1
 
 
