@@ -28,7 +28,8 @@ sequences into a single word.
 
 from itertools import combinations_with_replacement, permutations
 
-from .core import MultisetSpec, _as_spec, _ascii_numbers, is_quasi_stirling, stats, word_spec
+from .core import MultisetSpec, _as_spec, _integers, _numbers, is_quasi_stirling
+from .core import stats, word_spec, word_to_text
 from .trees import infer_spec
 
 
@@ -189,14 +190,17 @@ def _psi_step(odd, up, src, dst, count=1):
             w[1] = _rotate_to_front_order(w[1], pos)
 
 
-def _shifted_mult(t, j, src, dst):
-    # validate the input of psi/psi_inv, and return the multiplicities of
-    # t before and after one copy of the value src becomes dst
+def _shifted_mult(t, j, up):
+    # validate the input of psi (up=False) and psi_inv (up=True), and
+    # return j and the multiplicities of t before and after one copy of
+    # j moves down to j-1, or one copy of j-1 moves up to j
+    (j,) = _integers((j,), "j must be an integer")
     spec = infer_spec(t)
     if spec.n < 2:
         raise ValueError("the tree has no value to shift (n = %d < 2)" % spec.n)
     if j < 2 or j > spec.n:
         raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
+    src, dst = (j - 1, j) if up else (j, j - 1)
     mult = list(spec.mult)
     if mult[src - 1] < 2:
         raise ValueError(
@@ -204,7 +208,7 @@ def _shifted_mult(t, j, src, dst):
         )
     mult[src - 1] -= 1
     mult[dst - 1] += 1
-    return spec.mult, mult
+    return j, spec.mult, mult
 
 
 def psi(t, j):
@@ -218,14 +222,14 @@ def psi(t, j):
     result is a valid tree over the multiset with multiplicities
     (..., k_{j-1}+1, k_j-1, ...).
     """
-    mult, shifted = _shifted_mult(t, j, j, j - 1)
+    j, mult, shifted = _shifted_mult(t, j, up=False)
     return _phi_inv(_transport(_phi(t), mult, ((j, 1),), ()), shifted)
 
 
 def psi_inv(t, j):
     """Undo psi(..., j): move one copy of value j-1 back up to value j,
     by the surgery of psi with j and j-1 exchanged."""
-    mult, shifted = _shifted_mult(t, j, j - 1, j)
+    j, mult, shifted = _shifted_mult(t, j, up=True)
     return _phi_inv(_transport(_phi(t), mult, (), ((j, 1),)), shifted)
 
 
@@ -396,18 +400,11 @@ def check_perm_tuple(parts, anchored=False):
 
 def perm_tuple_from_text(text):
     """Parse '3,1||2' into ((3, 1), (), (2,))."""
-    _ascii_numbers(text)
-    try:
-        return tuple(
-            tuple(int(x) for x in chunk.split(",")) if chunk else ()
-            for chunk in text.split("|")
-        )
-    except ValueError:
-        raise ValueError("bad tuple text %r" % text) from None
+    return tuple(_numbers(chunk, "tuple text", text) for chunk in text.split("|"))
 
 
 def perm_tuple_to_text(parts):
-    return "|".join(",".join(str(v) for v in part) for part in parts)
+    return "|".join(map(word_to_text, parts))
 
 
 def enumerate_perm_tuples(m, n, anchor=None):

@@ -34,6 +34,15 @@ def _require(value, flag):
     return value
 
 
+def _integer(text, what, whole=None):
+    """The one integer in text, read as the wire forms read numbers."""
+    numbers = core._numbers(text, what, whole)
+    if len(numbers) != 1:
+        whole = text if whole is None else whole
+        raise ValueError("bad %s %r (expected one integer)" % (what, whole))
+    return numbers[0]
+
+
 def _parse_inj(text):
     if text.startswith("<") or text.startswith("("):
         return excedance.from_path_cycle(excedance.parse_path_cycle(text))
@@ -124,11 +133,7 @@ def _cmd_map(args):
         out = trees.render_tree(bijections.phi_inv(w))
     elif which.startswith("psi:") or which.startswith("psi-inv:"):
         token, _, jtext = which.partition(":")
-        try:
-            j = int(core._ascii_numbers(jtext))
-        except ValueError:
-            msg = "map %r takes an integer j, as in %s:2" % (which, token)
-            raise ValueError(msg) from None
+        j = _integer(jtext, "j in map", which)
         t = trees.parse_tree(_require(args.tree, "--tree"))
         fn = bijections.psi if token == "psi" else bijections.psi_inv
         out = trees.render_tree(fn(t, j))
@@ -182,12 +187,12 @@ def _domain(check, mult, max_K):
 def _cmd_verify(args):
     # --max-K and --order default to None so that a flag the run would
     # not read is rejected rather than ignored
-    if args.max_K is not None and args.max_K < 1:
+    max_K = _DEFAULT_MAX_K if args.max_K is None else _integer(args.max_K, "--max-K")
+    order = verify.DEFAULT_ORDER if args.order is None else _integer(args.order, "--order")
+    if max_K < 1:
         raise ValueError("--max-K must be at least 1")
-    if args.order is not None and args.order < 0:
+    if order < 0:
         raise ValueError("--order must be non-negative")
-    max_K = _DEFAULT_MAX_K if args.max_K is None else args.max_K
-    order = verify.DEFAULT_ORDER if args.order is None else args.order
     if args.suite:
         if args.check is not None or args.mult is not None:
             raise ValueError("--suite takes neither --check nor --mult")
@@ -277,13 +282,11 @@ def _build_parser():
     p.add_argument("--suite", action="store_true", help="run every identity family")
     p.add_argument(
         "--order",
-        type=int,
         help="series truncation order (default %d)" % verify.DEFAULT_ORDER,
     )
     p.add_argument(
         "--max-K",
         dest="max_K",
-        type=int,
         help="sweep bound on the total size K (default %d)" % _DEFAULT_MAX_K,
     )
     common(p, mult=True)

@@ -43,10 +43,7 @@ class MultisetSpec:
     __slots__ = ("mult",)
 
     def __init__(self, mult):
-        try:
-            mult = tuple(map(index, mult))
-        except TypeError:
-            raise ValueError("multiplicities must be integers") from None
+        mult = _integers(mult, "multiplicities must be integers")
         if mult and min(mult) < 1:
             raise ValueError("multiplicities must be >= 1")
         self.mult = mult
@@ -61,17 +58,13 @@ class MultisetSpec:
 
     @classmethod
     def from_text(cls, text):
-        text = _ascii_numbers(text).strip()
-        if not text:
+        mult = _numbers(text, "multiplicity list", strip=True)
+        if not mult:
             raise ValueError("empty multiplicity list")
-        try:
-            parts = [int(p) for p in text.split(",")]
-        except ValueError:
-            raise ValueError("bad multiplicity list %r" % text) from None
-        return cls(parts)
+        return cls(mult)
 
     def to_text(self):
-        return ",".join(str(k) for k in self.mult)
+        return word_to_text(self.mult)
 
     def __eq__(self, other):
         if isinstance(other, MultisetSpec):
@@ -90,23 +83,37 @@ def _as_spec(m):
     return m if isinstance(m, MultisetSpec) else MultisetSpec(m)
 
 
-def _ascii_numbers(text):
-    """text, unless int() would read a number in it from a non-ASCII digit
-    ('\u0663' is 3), a '_' ('1_0' is 10) or a '+' sign."""
-    if not text.isascii() or "_" in text or "+" in text:
-        raise ValueError("numbers take ASCII digits only, no '_' or '+': %r" % text)
-    return text
+def _integers(values, message):
+    """tuple(values), each read by operator.index: a float or a str is a
+    ValueError with the message, never truncated or left to a TypeError."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(message) from None
+
+
+def _numbers(text, what, whole=None, strip=False):
+    """The comma-separated integers in text, () if it is empty. Every
+    number the program reads as text comes through here. int() alone
+    would also read a digit of another script ('\u0663' is 3), a '_'
+    ('1_0' is 10) and a '+' sign, so any of these is a ValueError naming
+    whole, the text the numbers came from. strip=True strips the text
+    after that check, so a blank text is () but an NBSP is still refused."""
+    try:
+        if text.isascii() and "_" not in text and "+" not in text:
+            body = text.strip() if strip else text
+            return tuple(map(int, body.split(","))) if body else ()
+    except ValueError:
+        pass
+    raise ValueError(
+        "bad %s %r (numbers take ASCII digits only, no '_' or '+')"
+        % (what, text if whole is None else whole)
+    )
 
 
 def word_from_text(text):
-    """Parse the comma-separated wire format; empty text is the empty word."""
-    text = _ascii_numbers(text).strip()
-    if not text:
-        return ()
-    try:
-        word = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError("bad word text %r" % text) from None
+    """Parse the comma-separated wire format; blank text is the empty word."""
+    word = _numbers(text, "word text", strip=True)
     if any(v < 1 for v in word):
         raise ValueError("word values must be positive")
     return word
@@ -303,7 +310,7 @@ def _complement(word, n):
 
 def complement(word, n):
     """Replace every value i by n + 1 - i; swaps ascents with descents."""
-    word = tuple(word)
+    n, *word = _integers((n, *word), "n and the word values must be integers")
     if any(not 1 <= v <= n for v in word):
         raise ValueError("word values must lie in 1..%d" % n)
     return _complement(word, n)

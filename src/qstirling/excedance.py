@@ -17,13 +17,14 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .bijections import _flat_word_params
-from .core import _ascii_numbers, _complement
+from .core import _complement, _integers, _numbers, word_to_text
 
 
 class PartialInj:
     __slots__ = ("n", "values")
 
     def __init__(self, n, values):
+        n, *values = _integers((n, *values), "n and the values must be integers")
         values = tuple(values)
         if n < 1:
             raise ValueError("codomain size must be positive")
@@ -47,18 +48,14 @@ class PartialInj:
     @classmethod
     def from_text(cls, text):
         """Parse 'n:v1,v2,...' (or 'n:' for an empty domain)."""
-        head, sep, body = _ascii_numbers(text).partition(":")
-        if not sep:
+        head, sep, body = text.partition(":")
+        n = _numbers(head, "partial injection text", text) if sep else ()
+        if len(n) != 1:
             raise ValueError("expected 'n:v1,v2,...', got %r" % text)
-        try:
-            n = int(head)
-            values = [int(x) for x in body.split(",")] if body else []
-        except ValueError:
-            raise ValueError("bad partial injection text %r" % text) from None
-        return cls(n, values)
+        return cls(n[0], _numbers(body, "partial injection text", text))
 
     def to_text(self):
-        return "%d:%s" % (self.n, ",".join(str(v) for v in self.values))
+        return "%d:%s" % (self.n, word_to_text(self.values))
 
     def __eq__(self, other):
         if not isinstance(other, PartialInj):
@@ -122,8 +119,9 @@ def from_path_cycle(rep):
     missing or repeated, a path ending inside the domain, interior path
     or cycle elements outside it.
     """
-    paths = [tuple(p) for p in rep.paths]
-    cycles = [tuple(c) for c in rep.cycles]
+    message = "path and cycle elements must be integers"
+    paths = [_integers(p, message) for p in rep.paths]
+    cycles = [_integers(c, message) for c in rep.cycles]
     if not paths:
         raise ValueError("at least one path is required")
     if any(not p for p in paths) or any(not c for c in cycles):
@@ -150,13 +148,11 @@ def from_path_cycle(rep):
 
 
 def render_path_cycle(rep):
-    return "".join(
-        "<%s>" % ",".join(str(x) for x in p) for p in rep.paths
-    ) + "".join("(%s)" % ",".join(str(x) for x in c) for c in rep.cycles)
+    paths = "".join("<%s>" % word_to_text(p) for p in rep.paths)
+    return paths + "".join("(%s)" % word_to_text(c) for c in rep.cycles)
 
 
 def parse_path_cycle(text):
-    _ascii_numbers(text)
     paths = []
     cycles = []
     pos = 0
@@ -173,11 +169,7 @@ def parse_path_cycle(text):
         body = text[pos + 1 : end]
         if not body:
             raise ValueError("empty group in %r" % text)
-        try:
-            bucket.append(tuple(int(x) for x in body.split(",")))
-        except ValueError:
-            group = text[pos : end + 1]
-            raise ValueError("bad group %r in %r" % (group, text)) from None
+        bucket.append(_numbers(body, "path-cycle text", text))
         pos = end + 1
     return PathCycleRep(tuple(paths), tuple(cycles))
 

@@ -103,6 +103,11 @@ def test_psi_rejects():
         q.psi(q.parse_tree("0(1,2)"), 2)  # multiplicity of 2 is only 1
     with pytest.raises(ValueError):
         q.psi_inv(q.parse_tree("0(1,2(2))"), 2)  # needs multiplicity >= 2 at j-1
+    # 2.0 met a TypeError and 2.5 was reported as "got 2"
+    for fn, tree in [(q.psi, t), (q.psi_inv, q.parse_tree("0(1(1),2)"))]:
+        for j in (2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match="j must be an integer"):
+                fn(tree, j)
 
 
 def test_psi_round_trip_and_statistics_small():

@@ -425,6 +425,10 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         ("enumerate", "--mult", "\u0661,\u0661"),
         ("count", "--mult", "1_0"),
         ("map", "--which", "psi:+2", "--tree", "0(1,2(2))"),
+        # and argparse's type=int read these as 3, 3 and 10
+        ("verify", "--check", "thm22", "--max-K", "\u0663"),
+        ("verify", "--check", "thm22", "--max-K", "+3"),
+        ("verify", "--check", "eq2", "--mult", "2,1", "--order", "1_0"),
     ]
     # an operand or flag the run does not read is rejected, not ignored
     unread = [

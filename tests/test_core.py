@@ -27,10 +27,32 @@ def test_word_wire_round_trip():
     assert q.word_to_text(()) == ""
 
 
-@pytest.mark.parametrize("bad", ["a", "1,,2", "0", "-1", "1 2"])
+@pytest.mark.parametrize("bad", ["a", "1,,2", "0", "-1", "1 2", "\u00a01"])
 def test_word_from_text_rejects(bad):
     with pytest.raises(ValueError):
         q.word_from_text(bad)
+
+
+# reader: (writer, objects)
+WIRE_FORMS = {
+    q.word_from_text: (q.word_to_text, [(), (1,), (2, 7, 4), (10, 1, 10)]),
+    q.MultisetSpec.from_text: (
+        q.MultisetSpec.to_text,
+        [q.MultisetSpec(m) for m in [(1,), (2, 2, 1), (12, 1)]],
+    ),
+    q.PartialInj.from_text: (
+        q.PartialInj.to_text,
+        [q.PartialInj(1, ()), q.PartialInj(3, (2,)), q.PartialInj(12, (10, 1))],
+    ),
+    q.parse_path_cycle: (
+        q.render_path_cycle,
+        [q.PathCycleRep(((1,),), ()), q.PathCycleRep(((4, 6, 9), (10,)), ((1, 7, 3),))],
+    ),
+    q.perm_tuple_from_text: (
+        q.perm_tuple_to_text,
+        [((),), ((), (), ()), ((3, 1), (), (2,)), ((), (10, 1))],
+    ),
+}
 
 
 # int() reads other scripts' digits, '_' between digits and a '+' sign;
@@ -55,6 +77,10 @@ def test_word_from_text_rejects(bad):
 def test_wire_parsers_take_ascii_digits_only(parse, text):
     with pytest.raises(ValueError, match="ASCII digits only"):
         parse(text)
+    # and each reads back what its writer writes
+    write, objects = WIRE_FORMS[parse]
+    for x in objects:
+        assert parse(write(x)) == x, x
 
 
 def test_multiset_wire():
@@ -249,6 +275,10 @@ def test_complement():
         q.complement((1, 4), 3)
     with pytest.raises(ValueError):
         q.complement((0, 1), 3)
+    # 2.5 gave (2.5, 1.5, 2.5): not a word
+    for word, n in [((1, 2, 1), 2.5), ((1, 2, 1), 2.0), ((1.0, 2), 2)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            q.complement(word, n)
 
 
 def test_complement_swaps_statistics_and_keeps_families():

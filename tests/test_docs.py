@@ -1,6 +1,7 @@
 """The demos run, the README's command-line examples print what the
 README says they print, the test oracles import nothing from the
-package, and every name the benchmark tracer wraps exists."""
+package, no parser but core._numbers runs int(), and every name the
+benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -87,6 +88,27 @@ def test_package_functions_never_call_themselves():
                 )
     assert defined > 100  # the walk saw the package
     assert not recursive
+
+
+def test_only_the_number_reader_runs_int():
+    # int() reads '\u0663', '1_0' and '+2' as numbers: a parser that calls
+    # it, or hands it to map() or argparse, skips the rule of
+    # core._numbers; tree labels and exact Fractions have rules of their own
+    allowed = {"core._numbers", "trees._parse_label", "exactpoly._norm"}
+    found = set()
+    for path in sorted((ROOT / "src" / "qstirling").glob("*.py")):
+        # (node, dotted name of the innermost enclosing def or class)
+        stack = [(ast.parse(path.read_text()), path.stem)]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = "%s.%s" % (owner, node.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") != "isinstance":
+                passed = [node.func, *node.args, *(k.value for k in node.keywords)]
+                if any(getattr(x, "id", None) == "int" for x in passed):
+                    found.add(owner)
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    assert found == allowed
 
 
 def test_benchmark_trace_targets_exist():

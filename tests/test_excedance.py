@@ -34,6 +34,11 @@ def test_partial_inj_construction_and_wire():
         (3, (4, 1)),  # out of range
         (0, ()),  # empty codomain
         (3, (0,)),
+        # not integers: (3, (2.0,)) wrote "3:2.0", which from_text
+        # refuses, and chi_inv met a TypeError on a codomain of 3.0
+        (3, (2.0,)),
+        (3.0, (2,)),
+        (3, ("2",)),
     ],
 )
 def test_partial_inj_rejects(n, values):
@@ -95,6 +100,9 @@ def test_from_path_cycle_rejects():
     with pytest.raises(ValueError):
         # interior element beyond the domain length
         q.from_path_cycle(q.PathCycleRep(paths=[(3, 1, 2)], cycles=[]))
+    for paths, cycles in [(((1.0, 3),), ((2,),)), (((3,),), ((1, 2.0),))]:
+        with pytest.raises(ValueError, match="must be integers"):
+            q.from_path_cycle(q.PathCycleRep(paths, cycles))
 
 
 def test_round_trip_everywhere():
