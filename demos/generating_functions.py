@@ -3,8 +3,8 @@ Exact generating functions
 ==========================
 
 Everything in this layer is exact: integer polynomial coefficients,
-rational series coefficients, and an integrality assertion at the end
-of every extraction. No floats anywhere.
+rational series coefficients, and an extraction that divides nothing.
+No floats anywhere.
 """
 
 from qstirling import (
@@ -19,7 +19,9 @@ from qstirling import (
     qs_polynomial_from_series,
 )
 
-# Bivariate Eulerian polynomials, from the Eulerian recurrence.
+# Bivariate Eulerian polynomials, by gap insertion: each of 2..n goes
+# into a gap of a permutation of the smaller values, one step of
+# D = tu(d/dt + d/du) from A_1 = tu.
 for n in range(1, 5):
     print("A_%d =" % n, eulerian(n).pretty())
 

@@ -411,6 +411,9 @@ def enumerate_perm_tuples(m, n, anchor=None):
     """All ways to distribute 1..n over m ordered slots, each slot an
     ordered sequence. With anchor=i, keep only tuples whose i-th slot
     contains the value 1."""
+    m, n = _integers((m, n), "m and n must be integers")
+    if anchor is not None:
+        (anchor,) = _integers((anchor,), "anchor must be an integer")
     if m < 1:
         raise ValueError("need at least one slot")
     if n < 0:

@@ -129,6 +129,7 @@ def word_spec(word):
     Every multiset has all multiplicities >= 1, so each of 1..n must
     occur; a gap means the word belongs to no valid multiset.
     """
+    word = _integers(word, "word values must be integers")
     if not word:
         return MultisetSpec(())
     if min(word) < 1:

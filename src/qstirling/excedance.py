@@ -239,6 +239,7 @@ def delta_inv(s):
 def enumerate_J(n, r):
     """All injections with domain {1..n-r} and codomain 1..n, in
     lexicographic order of their value sequences; there are n!/r!."""
+    n, r = _integers((n, r), "n and r must be integers")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     return (PartialInj(n, values) for values in permutations(range(1, n + 1), n - r))

@@ -4,12 +4,20 @@ by integer coefficient extraction.
 The joint (des, asc, plat) polynomial of the quasi-Stirling words over
 {1^k1, ..., n^kn} is (n!/m) [z^n] (E - 1 + v)^m with m = K - n + 1, where
 E = sum_k A_k z^k / k! packs the Eulerian polynomials A_k. No series is
-expanded to get it: the rows A_k come from the Eulerian recurrence, and
-n! [z^n] (E - 1)^i from a binomial convolution over the first part, all
-in integers, so the cost is set by n and not by the number of words.
-The division by m is asserted exact, never rounded. The brute-force sums
-over explicit tuples here, and `core.qs_polynomial` over the words, stay
-as the independent side of every identity check.
+expanded to get it. With D = tu (d/dt + d/du + d/dv) the rows satisfy
+dE/dz = D E + tu, so (E - 1 + v)^m is carried along z by D and
+
+    n! [z^n] (E - 1 + v)^m = D^n (v^m) = m D^(n-1) (t u v^(m-1)).
+
+On words, one step of D is gap insertion: the next value, larger than
+all before it, goes into one of the gaps of a word over {1^m, 2, ..., k}.
+A gap in a descent adds an ascent, a gap in an ascent adds a descent,
+and a gap in a plateau trades the plateau for one of each. So the
+family polynomial is D^(n-1)(t u v^(m-1)) itself, A_n is the same at
+m = 1, and nothing is divided. It takes about n^3 integer operations,
+whatever m and the number of words. The brute-force sums over explicit
+tuples here, and `core.qs_polynomial` over the words, stay as the
+independent side of every identity check.
 """
 
 from fractions import Fraction
@@ -17,49 +25,44 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .bijections import enumerate_perm_tuples
-from .core import _as_spec, _stat_polynomial, _tuple_stats, qs_polynomial
+from .core import _as_spec, _integers, _stat_polynomial, _tuple_stats, qs_polynomial
 from .exactpoly import PolyTUV, SeriesT
 
-__all__ = [
-    "PolyTUV",
-    "SeriesT",
-    "eulerian",
-    "eulerian_series",
-    "qs_polynomial_from_series",
-    "descent_series_coefficients",
-    "max_descent_count",
-    "perm_tuple_polynomial",
-    "perm_tuple_polynomial_formula",
-]
 
-
-def _eulerian_rows(n):
-    """Rows 0..n of A(k, d), the permutations of 1..k with d descents,
-    both ends counted (so asc = k + 1 - d). Inserting k into a descent
-    gap keeps d and into any other gap adds one:
-    A(k, d) = d A(k-1, d) + (k-d+1) A(k-1, d-1)."""
-    rows = [[1]]
-    for k in range(1, n + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [d * prev[d] + (k - d + 1) * prev[d - 1] for d in range(1, k + 1)])
-    return rows
+def _gap_insertion(m, n):
+    """D^(n-1)(t u v^(m-1)) as {(des, asc, plat): count}, the words over
+    {1^m, 2, ..., n} grown from 1^m by inserting 2, ..., n into a gap."""
+    terms = {(1, 1, m - 1): 1}
+    for _ in range(n - 1):
+        grown = {}
+        for (a, b, e), c in terms.items():
+            key = (a, b + 1, e)  # into one of the a descents
+            grown[key] = grown.get(key, 0) + a * c
+            key = (a + 1, b, e)  # into one of the b ascents
+            grown[key] = grown.get(key, 0) + b * c
+            if e:  # into one of the e plateaux
+                key = (a + 1, b + 1, e - 1)
+                grown[key] = grown.get(key, 0) + e * c
+        terms = grown
+    return terms
 
 
 @lru_cache(maxsize=None)
 def eulerian(n):
     """Sum of t^des u^asc over all permutations of 1..n (the word
-    polynomial of the multiset {1, ..., n}), read off row n of the
-    Eulerian recurrence."""
+    polynomial of the multiset {1, ..., n}), by gap insertion at m = 1."""
+    # checked inside the cache: a refused n raises, so it is never stored
+    (n,) = _integers((n,), "n must be an integer")
     if n < 0:
         raise ValueError("n must be a natural number")
     if n == 0:
         return PolyTUV.one()  # the empty word
-    row = _eulerian_rows(n)[n]
-    return PolyTUV({(d, n + 1 - d, 0): row[d] for d in range(1, n + 1)})
+    return PolyTUV(_gap_insertion(1, n))
 
 
 def eulerian_series(order):
     """Truncated exponential series 1 + sum_n eulerian(n) z^n / n!."""
+    (order,) = _integers((order,), "order must be an integer")
     coeffs = [eulerian(k) * Fraction(1, factorial(k)) for k in range(order + 1)]
     return SeriesT(coeffs, order)
 
@@ -88,6 +91,7 @@ def descent_series_coefficients(m, order):
     the binomial expansion of (1-t)^-(K+1).
     Returns (lhs, rhs), each a list indexed 0..order; they must agree.
     """
+    (order,) = _integers((order,), "order must be an integer")
     if order < 0:
         raise ValueError("order must be non-negative")
     spec = _as_spec(m)
@@ -123,47 +127,19 @@ def perm_tuple_polynomial(m, n, anchor=None):
     return _stat_polynomial(map(_tuple_stats, enumerate_perm_tuples(m, n, anchor)))
 
 
-def _power_rows(n, top):
-    """For i = 1..top, yield i and B_i(n) = n! [z^n] (E - 1)^i as its
-    t-coefficients from t^i up (des runs over i..n; the u-exponent of t^d
-    is n + i - d). Splitting on the size k of the first part,
-    B_i(N) = sum_k C(N, k) A_k B_(i-1)(N-k), from B_0(N) = [N = 0]."""
-    rows = _eulerian_rows(n)
-    level = [[1]] + [[]] * n  # B_0(N) for N = 0..n
-    for i in range(1, top + 1):
-        nxt = [[]] * i
-        for N in range(i, n + 1):
-            acc = [0] * (N - i + 1)
-            for k in range(1, N - i + 2):
-                scale, rest = comb(N, k), level[N - k]
-                for d in range(1, k + 1):
-                    a = scale * rows[k][d]
-                    for j, b in enumerate(rest, d - 1):
-                        acc[j] += a * b
-            nxt.append(acc)
-        level = nxt
-        yield i, level[n]
-
-
 def perm_tuple_polynomial_formula(m, n, anchored=False):
     """Coefficient-extraction form of the tuple polynomial:
 
-        n! [z^n] (E - 1 + v)^m = sum_i C(m, i) v^(m-i) n! [z^n] (E - 1)^i
+        n! [z^n] (E - 1 + v)^m = D^n (v^m) = m D^(n-1) (t u v^(m-1))
 
-    over i <= min(m, n), in integers (see _power_rows), divided by m
-    when anchored (the m slot choices for the value 1 are
-    interchangeable); that the division is exact is asserted.
+    by gap insertion (see the module docstring). Anchored, with the
+    value 1 in the first of the m interchangeable slots, it is
+    D^(n-1)(t u v^(m-1)) itself; otherwise m times that.
     """
+    m, n = _integers((m, n), "m and n must be integers")
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    terms = {}
-    for i, coeffs in _power_rows(n, min(m, n)):
-        for j, b in enumerate(coeffs):
-            terms[i + j, n - j, m - i] = comb(m, i) * b
-    if anchored:
-        if any(c % m for c in terms.values()):
-            raise AssertionError(
-                "tuple polynomial for m=%d, n=%d produced non-integers" % (m, n)
-            )
-        terms = {key: c // m for key, c in terms.items()}
+    terms = _gap_insertion(m, n)
+    if not anchored:
+        terms = {key: m * c for key, c in terms.items()}
     return PolyTUV(terms)

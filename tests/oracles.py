@@ -3,6 +3,8 @@ definitions and kept independent of the package internals. Tests compare
 the fast library code against these."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 
 def quartic_quasi_stirling(word):
@@ -121,3 +123,38 @@ def cyclic_tree_stats(t, depth=0):
         for i, x in enumerate(cyclic_tree_stats(child, depth + 1)):
             totals[i] += x
     return tuple(totals)
+
+
+def series_tuple_polynomial(m, n):
+    """n! [z^n] (E - 1 + v)^m as {(des, asc, plat): count}, where
+    E = sum_k A_k z^k / k! and A_k sums t^des u^asc over the permutations
+    of 1..k with both sentinels counted. The rows come from the textbook
+    recurrence A(k, d) = (d+1) A(k-1, d) + (k-d) A(k-1, d-1) on descents
+    without sentinels, and the power is m plain products of Fraction
+    series truncated after z^n."""
+    rows = [[1]]
+    for k in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([(d + 1) * prev[d] + (k - d) * (prev[d - 1] if d else 0) for d in range(k)])
+    # E - 1 + v: the constant term of E cancels, leaving v
+    base = [{(0, 0, 1): Fraction(1)}]
+    for k in range(1, n + 1):
+        # d descents inside, so d + 1 with the sentinels and k - d ascents
+        base.append({(d + 1, k - d, 0): Fraction(c, factorial(k)) for d, c in enumerate(rows[k])})
+    power = [{(0, 0, 0): Fraction(1)}] + [{} for _ in range(n)]
+    for _ in range(m):
+        product = [{} for _ in range(n + 1)]
+        for i, left in enumerate(power):
+            for j in range(n + 1 - i):
+                for (a, b, c), x in left.items():
+                    for (d, e, f), y in base[j].items():
+                        key = (a + d, b + e, c + f)
+                        product[i + j][key] = product[i + j].get(key, 0) + x * y
+        power = product
+    out = {}
+    for key, c in power[n].items():
+        c *= factorial(n)
+        assert c.denominator == 1, (m, n, key, c)
+        if c:
+            out[key] = int(c)
+    return out

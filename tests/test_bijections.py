@@ -312,6 +312,13 @@ def test_enumerate_perm_tuples_rejects_a_negative_size():
             q.enumerate_perm_tuples(m, -1)
 
 
+def test_enumerate_perm_tuples_rejects_floats_at_the_call():
+    # an anchor of 1.0 used to pass the range check and fail on iteration
+    for m, n, anchor in ((2.0, 3, None), (2, 3.0, None), (2, 3, 1.0), ("2", 3, None)):
+        with pytest.raises(ValueError, match="must be (an )?integers?"):
+            q.enumerate_perm_tuples(m, n, anchor)
+
+
 def test_zeta_examples():
     assert q.zeta(((1,), (2,))) == (1, 2, 1)
     assert q.zeta(((3, 1), (2,))) == (3, 1, 2, 1)

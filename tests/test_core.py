@@ -118,6 +118,15 @@ def test_word_spec():
         q.word_spec((1, 10**9, 1))
 
 
+def test_word_spec_rejects_non_integer_letters():
+    # and so does every word map, which reads the spec first
+    for word in ((1.0,), (1, 2.0, 1), ("1",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            q.word_spec(word)
+        with pytest.raises(ValueError, match="must be integers"):
+            q.phi_inv(word)
+
+
 def test_stats_examples():
     assert q.stats((1, 2, 2, 1)) == (2, 2, 1)
     assert q.stats(FIGURE_WORD) == (6, 5, 1)

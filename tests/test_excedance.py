@@ -158,6 +158,9 @@ def test_enumerate_J_rejects_at_the_call():
     for n, r in ((3, 0), (2, 3)):
         with pytest.raises(ValueError, match="1 <= r <= n"):
             q.enumerate_J(n, r)
+    for n, r in ((3.0, 1), (3, 1.0), ("3", 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            q.enumerate_J(n, r)
 
 
 # -- chi ---------------------------------------------------------------

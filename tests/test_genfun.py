@@ -69,10 +69,11 @@ def test_qs_polynomial_from_series_matches_brute_force():
         assert got.is_integral()
 
 
-@pytest.mark.parametrize("mult", [(10,) * 6, (2,) * 40])
+@pytest.mark.parametrize("mult", [(10,) * 6, (2,) * 40, (3,) * 60])
 def test_extraction_beyond_enumeration(mult):
-    # (10,)*6 has 6.6e8 words and (2,)*40 about 2.1e69: no enumeration
-    # reaches them, so check what the family must satisfy
+    # (10,)*6 has 6.6e8 words, (2,)*40 about 2.1e69 and (3,)*60 about
+    # 1e224: no enumeration reaches them, so check what the family must
+    # satisfy
     spec = q.MultisetSpec(mult)
     n, K = spec.n, spec.K
     poly = q.qs_polynomial_from_series(spec)
@@ -90,6 +91,28 @@ def test_tuple_formula_counts_up_to_twelve():
             assert q.perm_tuple_polynomial_formula(m, n).value_at(1, 1, 1) == whole
             anchored = q.perm_tuple_polynomial_formula(m, n, anchored=True)
             assert anchored.value_at(1, 1, 1) * m == whole
+
+
+def test_tuple_formula_matches_series_oracle():
+    # the gap insertion against plain Fraction series powers
+    for m in range(1, 11):
+        for n in range(1, 11):
+            expected = oracles.series_tuple_polynomial(m, n)
+            assert q.perm_tuple_polynomial_formula(m, n).terms == expected
+            anchored = q.perm_tuple_polynomial_formula(m, n, anchored=True)
+            assert (m * anchored).terms == expected
+
+
+def test_tuple_formula_closed_counts_at_size_sixty():
+    m, n = 50, 60
+    whole = q.perm_tuple_polynomial_formula(m, n)
+    anchored = q.perm_tuple_polynomial_formula(m, n, anchored=True)
+    assert whole.is_integral() and anchored.is_integral()
+    assert whole.value_at(1, 1, 1) == comb(n + m - 1, m - 1) * factorial(n)
+    assert anchored.value_at(1, 1, 1) * m == whole.value_at(1, 1, 1)
+    # the words with n descents: max_descent_count at K - n + 1 = m
+    assert anchored.t_coefficients()[n] == m ** (n - 1)
+    assert whole == m * anchored
 
 
 def test_descent_series_examples():
@@ -184,3 +207,29 @@ def test_tuple_polynomial_counts():
             assert whole.value_at(1, 1, 1) == factorial(n) * comb(n + m - 1, n)
             anchored = q.perm_tuple_polynomial(m, n, anchor=1)
             assert anchored.value_at(1, 1, 1) == factorial(n) * comb(n + m - 1, n) // m
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (q.perm_tuple_polynomial_formula, (2.0, 3)),
+        (q.perm_tuple_polynomial_formula, ("2", 3)),
+        (q.perm_tuple_polynomial_formula, (2, 3.0, True)),
+        (q.eulerian_series, (2.0,)),
+        (q.perm_tuple_polynomial, (2.0, 3)),
+        (q.descent_series_coefficients, (q.MultisetSpec((2, 2)), 2.0)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_integer_arguments_refuse_floats_and_strings(fn, args):
+    with pytest.raises(ValueError, match="must be (an )?integers?"):
+        fn(*args)
+
+
+def test_eulerian_cache_never_holds_a_float():
+    assert q.eulerian(3) == q.eulerian(3)
+    before = q.eulerian.cache_info().currsize
+    # 3.0 equals 3 but is checked and refused, and leaves no entry
+    with pytest.raises(ValueError, match="n must be an integer"):
+        q.eulerian(3.0)
+    assert q.eulerian.cache_info().currsize == before
