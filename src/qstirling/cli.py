@@ -63,16 +63,19 @@ def _verdict_line(ok, name, cases):
 
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    # the search writes each letter as "v,", so a word is its text and a
-    # comma; both formats are lead + sep.join(words) + end, written in
-    # blocks of about 32 KB, which adds nothing to peak memory
-    words = core._enumerate_qs(spec.mult, ["%d," % v for v in range(spec.n + 1)])
+    # the search writes each letter as ",v", so a word is its text; both
+    # formats are lead + sep.join(words) + end, written in blocks of 32 KB
+    # and at most one line more: every word is a permutation of the one
+    # multiset, so every line has the same width
+    unit = [",%d" % v for v in range(spec.n + 1)]
+    words = core._enumerate_qs(spec.mult, unit)
     if args.format == "json":
         lead, sep, end = '["', '", "', '"]\n'
     else:
         lead, sep, end = "", "\n", "\n"
-    per_block = (1 << 15) // (2 * spec.K + len(sep)) + 1
-    while block := sep.join([w[:-1] for w in islice(words, per_block)]):
+    width = sum(k * len(unit[v]) for v, k in enumerate(spec.mult, 1)) - 1
+    per_block = (1 << 15) // (width + len(sep)) + 1
+    while block := sep.join(islice(words, per_block)):
         sys.stdout.write(lead + block)
         lead = sep
     sys.stdout.write(end)

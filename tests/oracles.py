@@ -158,3 +158,17 @@ def series_tuple_polynomial(m, n):
         if c:
             out[key] = int(c)
     return out
+
+
+def state_completions(left, copies):
+    """Number of ways to finish a word whose open values 1..s (opened in
+    that order, one copy each so far) still owe left[i] copies and whose
+    fresh values s+1.. have copies[j] copies: every arrangement of the
+    letters still to place, kept when the whole word passes the literal
+    four-index scan."""
+    s = len(left)
+    head = tuple(range(1, s + 1))
+    return sum(
+        quartic_quasi_stirling(head + rest)
+        for rest in multiset_permutations(tuple(left) + tuple(copies))
+    )

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -63,6 +64,23 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
     assert "".join(writes) == want
     # no write holds the whole family: each word is two quotes
     assert 1 < len(writes) and max(w.count('"') for w in writes) < 2 * 5040
+    # ten values: a line and its newline take 78 characters, not the 59
+    # of one digit per value, and each write still holds 32 KB and at
+    # most one line more; the reader takes three writes and goes
+    writes = []
+
+    def write(text):
+        writes.append(text)
+        if len(writes) == 3:
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+    assert cli.run(["enumerate", "--mult", "1,1,1,1,1,1,1,1,1,20"]) == 3
+    monkeypatch.undo()
+    assert all(1 << 15 <= len(w) < (1 << 15) + 78 for w in writes)
+    lines = "".join(writes).split("\n")
+    words = islice(core.enumerate_qs((1,) * 9 + (20,)), len(lines))
+    assert lines == [core.word_to_text(w) for w in words]
 
 
 def test_stats_word(capsys):

@@ -1,18 +1,21 @@
 """Words, statistics, recognizers and enumeration, checked against the
 definitional oracles."""
 
+import hashlib
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import islice
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 import qstirling as q
 import oracles
 import sweeps
-from qstirling import core
+from qstirling import cli, core
 
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 
@@ -227,11 +230,56 @@ def test_enumeration_properties_at_fourteen_letters():
 
 
 def test_text_kernel_spells_the_tuple_words():
-    # pieces of unequal widths, as the CLI's "10," is wider than "9,"
+    # pieces of unequal widths, as the CLI's ",10" is wider than ",9";
+    # each piece opens with a separator, which the word's first one drops
     for mult in sweeps.all_mults(7) + [(3, 1, 3, 2, 1)]:
-        unit = ["x" * v + "," for v in range(len(mult) + 1)]
-        want = ["".join(unit[v] for v in w) for w in sweeps.qs_words(mult)]
+        unit = ["," + "x" * v for v in range(len(mult) + 1)]
+        want = [",".join("x" * v for v in w) for w in sweeps.qs_words(mult)]
         assert list(core._enumerate_qs(mult, unit)) == want, mult
+
+
+@pytest.mark.parametrize("mult, memo", [((2, 1, 3, 1, 2), False), ((1, 2, 1, 2, 1, 2), True)])
+def test_enumeration_on_each_side_of_the_memo(monkeypatch, mult, memo):
+    # the memo serves families of _MEMO_VALUES values or more: one case
+    # just below that and one at it, each against the filtered
+    # arrangements, in tuples and in pieces of unequal widths
+    assert len(mult) == core._MEMO_VALUES - 1 + memo
+    built = []
+    build = core._two_fresh_words
+    monkeypatch.setattr(core, "_two_fresh_words", lambda *a: built.append(a) or build(*a))
+    want = [w for w in oracles.multiset_permutations(mult) if q.is_quasi_stirling(w)]
+    assert list(q.enumerate_qs(mult)) == want
+    unit = ["," + "x" * v for v in range(len(mult) + 1)]
+    assert list(core._enumerate_qs(mult, unit)) == [",".join("x" * v for v in w) for w in want]
+    assert bool(built) == memo
+
+
+def test_memo_keys_counts_past_255(monkeypatch):
+    # 300 copies of 1 do not fit the memo's bytes keys: the first words
+    # with the memo, tuple-keyed, match those of the plain walk
+    mult = (300, 1, 1, 1, 1, 2)
+    built = []
+    build = core._two_fresh_words
+    monkeypatch.setattr(core, "_two_fresh_words", lambda *a: built.append(a) or build(*a))
+    digests = []
+    for values in (core._MEMO_VALUES, len(mult) + 1):
+        monkeypatch.setattr(core, "_MEMO_VALUES", values)
+        digest = hashlib.sha256()
+        for w in islice(q.enumerate_qs(mult), 10000):
+            digest.update(bytes(w))
+        digests.append(digest.digest())
+    assert built and min(a[1][1] for a in built) > 255
+    assert digests[0] == digests[1]
+
+
+def test_completion_count_formula():
+    # (L + 1)(L + C)(L + C - 1)... with k - 1 factors, for L letters owed
+    # to the open values and C copies of the k fresh values
+    for left in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 2, 1), (2, 2), (1, 3, 1)]:
+        for copies in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 3), (2, 2), (1, 1, 1), (1, 2, 1)]:
+            if sum(left) + sum(copies) <= 7:
+                want = oracles.state_completions(left, copies)
+                assert core._completions(sum(left), sum(copies), len(copies)) == want
 
 
 @pytest.mark.parametrize("text", [False, True])
@@ -248,6 +296,24 @@ def test_enumeration_memory_stays_linear(text):
     finally:
         tracemalloc.stop()
     assert len(first) == 3 and peak < 1 << 20
+
+
+def test_enumeration_memo_stays_bounded(monkeypatch):
+    # (3,2,2,2,2,2) meets many distinct states with two fresh values:
+    # kept whole, their completions take some 4 to 5 MB here
+    mult = (3, 2, 2, 2, 2, 2)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))
+    assert cli.run(["count", "--mult", "1"]) == 0  # the parser is built once
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in q.enumerate_qs(mult)) == 154440
+        library = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert cli.run(["enumerate", "--mult", "3,2,2,2,2,2"]) == 0
+        command = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert library < 2 << 20 and command < 2 << 20
 
 
 def test_entry_points_take_a_multiplicity_tuple():
