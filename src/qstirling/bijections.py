@@ -382,10 +382,16 @@ def max_descent_decompose(w):
 # tuples of disjoint sequences
 
 
+def _int_parts(a):
+    """The parts of a as tuples of ints; a float or a str in one is a ValueError."""
+    return tuple(_integers(p, "parts must be sequences of integers") for p in a)
+
+
 def check_perm_tuple(parts, anchored=False):
     """Raise unless the parts are disjoint sequences of distinct values
     jointly covering 1..n; with anchored=True, value 1 must additionally
     sit in the first part."""
+    parts = _int_parts(parts)
     seen = []
     for part in parts:
         seen.extend(part)
@@ -447,7 +453,7 @@ def zeta(a):
     count the empty parts; ascents and descents are the sums of those
     of the nonempty parts.
     """
-    parts = tuple(tuple(p) for p in a)
+    parts = _int_parts(a)
     check_perm_tuple(parts, anchored=True)
     first = parts[0]
     cut = first.index(1)

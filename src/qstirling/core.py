@@ -225,9 +225,8 @@ def enumerate_qs(spec) -> Iterator[tuple]:
     completions from a memo kept for the call. They depend only on the
     open values with their remaining copies and on the two fresh values,
     which key the memo, and such states repeat: the 55,440 words of
-    (1,3,1,1,3,2) need only 233 lists. A list is built once, in one loop
-    down the tail: one fresh value goes before some letter of the tail
-    or at its end, and the other goes in as above. Each word is then the
+    (1,3,1,1,3,2) need only 233 lists. A list is built once, by the same
+    walk, run below the state without the memo. Each word is then the
     head + a completion, joined in C. With fewer values a state is
     reached by few heads, and building its list cost more than walking
     below it ((4,4,4,4) took 1.3 times as long), so those families keep
@@ -245,8 +244,9 @@ def enumerate_qs(spec) -> Iterator[tuple]:
     The search writes a letter v as the piece unit[v]: (v,) here; the
     CLI passes the text ",v", and the first piece of a word drops its
     comma, so each word comes out as its text. It runs on explicit
-    stacks, keeping per depth the next value to try there, so K is
-    bounded by memory only.
+    stacks, keeping per depth the next value to try there, and the walk
+    that builds a list uses no memo, so at most two walks are live at
+    once and K is bounded by memory only.
     """
     return _enumerate_qs(_as_spec(spec).mult)
 
@@ -270,17 +270,25 @@ def _enumerate_qs(mult, unit=None):
     n = len(mult)
     ints = unit is None
     unit = [(v,) for v in range(n + 1)] if ints else unit
-    K = sum(mult)
     if n < 2:
-        word = unit[n] * K  # n = 0: the empty word, whatever the piece
-        yield word if ints else word[1:]
-        return
+        word = unit[n] * sum(mult)  # n = 0: the empty word, whatever the piece
+        return iter([word if ints else word[1:]])
     cap = (0,) + mult
-    # with the memo the walk stops at two fresh values as well
-    low, memo = (2, _Memo(cap, unit)) if n >= _MEMO_VALUES else (1, None)
-    placed = [0] * (n + 1)
-    fresh = n
-    stack = []
+    memo = _Memo(cap, unit) if n >= _MEMO_VALUES else None
+    return _walk(cap, unit, [], [0] * (n + 1), sum(mult), memo, 1)
+
+
+def _walk(cap, unit, stack, placed, rest, memo, lead):
+    """The completions in lex order of the state (stack, placed), which
+    has rest letters to go: the search of enumerate_qs, run below it.
+    With a memo it stops at two fresh values too; a text completion
+    drops the first lead characters of its first piece."""
+    n = len(cap) - 1
+    ints = type(unit[0]) is tuple
+    low = 1 if memo is None else 2
+    fresh = placed.count(0) - 1  # placed[0] stays 0
+    # word holds v, or its text piece, so that a head is one join
+    letters = list(range(n + 1)) if ints else unit
     word = []
     next_try = [1]
     while next_try:
@@ -296,25 +304,23 @@ def _enumerate_qs(mult, unit=None):
             placed[v] += 1
             if placed[v] == cap[v]:
                 stack.pop()
-            word.append(v)
+            word.append(letters[v])
             if fresh > low:
                 next_try.append(1)
                 continue
             if fresh == 2:
-                group = memo.group(stack, placed, K - len(word))
+                group = memo.group(stack, placed, rest - len(word))
                 if group is None:  # too many letters to hold: walk on
                     next_try.append(1)
                     continue
-            head = tuple(word) if ints else "".join([unit[u] for u in word])[1:]
+            head = tuple(word) if ints else "".join(word)[lead:]
             if fresh == 2:
                 yield from map(head.__add__, group)
             else:
                 f = placed.index(0, 1)
                 tail = head[:0]
-                # the offsets of the tail's letters above and below f: f
-                # at a letter u comes before every later place exactly
-                # when f < u (as in _places, inline: calling it here took
-                # families of a few hundred words 7% longer)
+                # the offsets of the tail's letters above and below f: f at
+                # a letter u comes before every later place exactly when f < u
                 above, below = [], []
                 for u in reversed(stack):
                     run = unit[u] * (cap[u] - placed[u])
@@ -331,8 +337,9 @@ def _enumerate_qs(mult, unit=None):
             next_try.pop()
             if not word:
                 return
-        # take back the last letter
-        v = word.pop()
+        # take back the last letter, the value tried last at this depth
+        word.pop()
+        v = next_try[-1] - 1
         if placed[v] == cap[v]:
             stack.append(v)
         placed[v] -= 1
@@ -341,28 +348,14 @@ def _enumerate_qs(mult, unit=None):
             fresh += 1
 
 
-def _places(stack, placed, cap, f, unit):
-    """The tail of a state whose one fresh value is f, and the offsets in
-    it where f's block goes, in lex order of the words: f at a letter u
-    comes before every later place exactly when f < u."""
-    tail = unit[0][:0]
-    above, below = [], []
-    for u in reversed(stack):
-        run = unit[u] * (cap[u] - placed[u])
-        at = range(len(tail), len(tail) + len(run), len(unit[u]))
-        (above if f < u else below).extend(at)
-        tail += run
-    above.append(len(tail))
-    above += reversed(below)
-    return tail, above
-
-
 class _Memo:
     """The completions of the states with two fresh values met by one
     enumeration, keyed by the open-value stack and the placed counts,
     which fix the open values, their remaining copies and the fresh
-    values. It keeps about _MEMO_LETTERS letters and key bytes at most:
-    when full, it is emptied, and the states met next are built again.
+    values. A state's list is built by the walk, run below the state
+    without a memo. The memo keeps about _MEMO_LETTERS letters and key
+    bytes at most: when full, it is emptied, and the states met next are
+    built again.
 
     The keys are bytes while every value and count fits in one, and each
     state's completions are a run of one list, found by a range. So in
@@ -391,7 +384,7 @@ class _Memo:
         run = self.runs.get(key)
         if run is not None:
             return self.words[run.start : run.stop]
-        words = _two_fresh_words(stack, placed, self.cap, self.unit, rest)
+        words = self.build(stack, placed, rest)
         if words is None:
             return None
         if self.held > _MEMO_LETTERS:
@@ -403,45 +396,12 @@ class _Memo:
         self.held += len(words) * rest + len(key)
         return words
 
-
-def _two_fresh_words(stack, placed, cap, unit, rest):
-    """The completions of a state with two fresh values f1 < f2 and rest
-    letters to go, in lex order, or None if they hold more than
-    _GROUP_LETTERS letters. Below the state the open values close from
-    the top down (the tail) until f1 or f2 is placed, which leaves one
-    fresh value g and the single-fresh insertion of g's block. Placing f
-    before the tail's letter u comes first exactly when f < u, so the
-    completions are those with f placed early going down the tail, then
-    at its end, then those with f placed late going back up."""
-    f1 = placed.index(0, 1)
-    f2 = placed.index(0, f1 + 1)
-    copies = cap[f1] + cap[f2]
-    if _completions(rest - copies, copies, 2) * rest > _GROUP_LETTERS:
-        return None
-    st, pl = stack[:], placed[:]
-    done = unit[0][:0]  # the letters of the tail placed so far
-    words, late = [], []
-    while True:
-        top = st[-1] if st else len(cap)  # past every value at the end
-        here = []
-        for f, g in ((f1, f2), (f2, f1)):
-            pl[f] = 1
-            tail, places = _places(st + [f] if cap[f] > 1 else st, pl, cap, g, unit)
-            pl[f] = 0
-            head, block = done + unit[f], unit[g] * cap[g]
-            (words if f < top else here).extend(
-                [head + tail[:i] + block + tail[i:] for i in places]
-            )
-        late.append(here)
-        if not st:
-            break
-        pl[top] += 1
-        if pl[top] == cap[top]:
-            st.pop()
-        done += unit[top]
-    for here in reversed(late):
-        words += here
-    return words
+    def build(self, stack, placed, rest):
+        """The state's completions, or None past _GROUP_LETTERS letters."""
+        copies = sum([c for c, p in zip(self.cap, placed) if not p])  # cap[0] is 0
+        if _completions(rest - copies, copies, 2) * rest > _GROUP_LETTERS:
+            return None
+        return list(_walk(self.cap, self.unit, stack[:], placed[:], rest, None, 0))
 
 
 def qs_count(spec) -> int:

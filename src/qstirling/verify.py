@@ -37,6 +37,7 @@ def sweep_domain(name, max_K):
     """The domain the named check sweeps at size bound max_K: every
     multiset with K <= max_K, the (m, n) pairs with m + n - 1 <= max_K,
     or for eq4 the (n, r) pairs with r <= n <= max_K."""
+    (max_K,) = core._integers((max_K,), "max_K must be an integer")
     if name in ("eq5", "eq7", "zeta"):
         return [
             (m, n)
@@ -316,9 +317,15 @@ SUITE_EXTRAS = {
 def run_check(name, domain, order):
     """Run the named check over `domain`; only eq2 reads `order`.
 
-    A check that ran no case is not a pass, so that raises ValueError.
+    A check that ran no case is not a pass, so that raises ValueError,
+    as does a name that is no check.
     """
-    fn = CHECKS.get(name) or SUITE_EXTRAS[name]
+    fn = CHECKS.get(name) or SUITE_EXTRAS.get(name)
+    if fn is None:
+        raise ValueError(
+            "unknown check %r; choose one of %s"
+            % (name, ", ".join(sorted([*CHECKS, *SUITE_EXTRAS])))
+        )
     cases, failures = fn(domain, order) if name == "eq2" else fn(domain)
     if cases == 0:
         raise ValueError("check %s has no case to run" % name)
@@ -342,6 +349,7 @@ def verify_suite(max_K, order=DEFAULT_ORDER):
     A family with no case to run raises ValueError in `run_check`; a
     crash propagates, as it is not a failed identity.
     """
+    (max_K,) = core._integers((max_K,), "max_K must be an integer")
     if max_K < 1:
         raise ValueError("max_K must be at least 1")
     checks = []

@@ -334,6 +334,15 @@ def test_zeta_rejects():
         q.zeta(((1, 2), (2,)))
 
 
+def test_perm_tuple_values_must_be_integers():
+    # 2.0 == 2 passed the cover check and came out in the word
+    for bad in (((2.0, 1),), ((2, 1), (3.0,)), ((1, "a"),), ((1,), 2)):
+        with pytest.raises(ValueError, match="integers"):
+            q.zeta(bad)
+        with pytest.raises(ValueError, match="integers"):
+            q.check_perm_tuple(bad)
+
+
 def test_zeta_bijection_with_statistics():
     for m in range(1, 6):
         for n in range(1, 7 - m):

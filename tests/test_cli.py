@@ -365,6 +365,19 @@ def test_verify_requires_check_or_suite(capsys):
     assert code == 2 and out == "" and "unknown check" in err
 
 
+def test_verify_library_rejects_bad_arguments():
+    # the CLI refuses these first; the library raised TypeError or KeyError
+    for call in (
+        lambda: verify.verify_suite(2.5),
+        lambda: verify.verify_suite("3"),
+        lambda: verify.sweep_domain("thm22", 2.0),
+    ):
+        with pytest.raises(ValueError, match="max_K must be an integer"):
+            call()
+    with pytest.raises(ValueError, match="unknown check 'bogus'; .*eq4, .*thm23, zeta$"):
+        verify.run_check("bogus", [], 8)
+
+
 def test_verify_honours_order_zero(capsys, monkeypatch):
     orders = []
     # record the order the CLI passes on, then report one passing case

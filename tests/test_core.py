@@ -245,8 +245,8 @@ def test_enumeration_on_each_side_of_the_memo(monkeypatch, mult, memo):
     # arrangements, in tuples and in pieces of unequal widths
     assert len(mult) == core._MEMO_VALUES - 1 + memo
     built = []
-    build = core._two_fresh_words
-    monkeypatch.setattr(core, "_two_fresh_words", lambda *a: built.append(a) or build(*a))
+    build = core._Memo.build
+    monkeypatch.setattr(core._Memo, "build", lambda m, *a: built.append(a) or build(m, *a))
     want = [w for w in oracles.multiset_permutations(mult) if q.is_quasi_stirling(w)]
     assert list(q.enumerate_qs(mult)) == want
     unit = ["," + "x" * v for v in range(len(mult) + 1)]
@@ -259,8 +259,8 @@ def test_memo_keys_counts_past_255(monkeypatch):
     # with the memo, tuple-keyed, match those of the plain walk
     mult = (300, 1, 1, 1, 1, 2)
     built = []
-    build = core._two_fresh_words
-    monkeypatch.setattr(core, "_two_fresh_words", lambda *a: built.append(a) or build(*a))
+    build = core._Memo.build
+    monkeypatch.setattr(core._Memo, "build", lambda m, *a: built.append(a) or build(m, *a))
     digests = []
     for values in (core._MEMO_VALUES, len(mult) + 1):
         monkeypatch.setattr(core, "_MEMO_VALUES", values)
@@ -270,6 +270,27 @@ def test_memo_keys_counts_past_255(monkeypatch):
         digests.append(digest.digest())
     assert built and min(a[1][1] for a in built) > 255
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("mult", [(2,) * 6, (3, 2, 2, 2, 2, 2)])
+def test_enumeration_across_memo_evictions(monkeypatch, mult):
+    # a memo of a few hundred letters empties itself and builds its lists
+    # again many times over: the words, in tuples and in pieces of unequal
+    # widths, match those of the plain walk
+    unit = ["," + "x" * v for v in range(len(mult) + 1)]
+    built = []
+    build = core._Memo.build
+    monkeypatch.setattr(
+        core._Memo, "build", lambda m, *a: built.append(bytes(a[0] + a[1])) or build(m, *a)
+    )
+    monkeypatch.setattr(core, "_MEMO_LETTERS", 300)
+    runs = []
+    for values in (core._MEMO_VALUES, len(mult) + 1):
+        monkeypatch.setattr(core, "_MEMO_VALUES", values)
+        runs.append((list(core._enumerate_qs(mult)), list(core._enumerate_qs(mult, unit))))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == q.qs_count(mult)
+    assert len(built) > 2 * len(set(built))  # each state is built again
 
 
 def test_completion_count_formula():
