@@ -70,7 +70,6 @@ from .trees import (
     TreeStats,
     enumerate_trees,
     infer_spec,
-    iter_vertices,
     parse_tree,
     render_tree,
     tree_stats,
@@ -110,7 +109,6 @@ __all__ = [
     "infer_spec",
     "is_quasi_stirling",
     "is_stirling",
-    "iter_vertices",
     "max_descent_count",
     "max_descent_decompose",
     "parse_path_cycle",

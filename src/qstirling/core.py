@@ -233,13 +233,11 @@ def enumerate_qs(spec) -> Iterator[tuple]:
     the letter-by-letter search.
 
     Two size rules bound the memory. A state is taken from the memo only
-    if its completions hold at most 1,024 letters: with L letters owed to
-    the open values and C copies of the fresh ones there are
-    (L + 1)(L + C) of them, of L + C letters each; a larger state is
-    walked letter by letter. The memo is emptied when it holds 65,536
-    letters. No list holds more than 1,024 letters and each word is
-    yielded as soon as it is made, so the words stream at any family
-    size.
+    if its completions hold at most 1,024 letters (the rule is stated at
+    _Memo.group); a larger state is walked letter by letter. The memo is
+    emptied when it holds 65,536 letters. No list holds more than 1,024
+    letters and each word is yielded as soon as it is made, so the words
+    stream at any family size.
 
     The search writes a letter v as the piece unit[v]: (v,) here; the
     CLI passes the text ",v", and the first piece of a word drops its
@@ -252,18 +250,11 @@ def enumerate_qs(spec) -> Iterator[tuple]:
 
 
 # The memo of _enumerate_qs serves families of at least _MEMO_VALUES
-# distinct values. It takes a state whose completions hold at most
-# _GROUP_LETTERS letters, and it is emptied once it holds _MEMO_LETTERS
+# distinct values. _GROUP_LETTERS bounds the letters of one state's
+# completions, and the memo is emptied once it holds _MEMO_LETTERS
 _MEMO_VALUES = 6
 _GROUP_LETTERS = 1 << 10
 _MEMO_LETTERS = 1 << 16
-
-
-def _completions(owed, copies, fresh):
-    """Number of completions of a state whose open values still owe
-    `owed` letters and whose `fresh` fresh values have `copies` copies:
-    (owed + 1) * (owed + copies)(owed + copies - 1)..., fresh - 1 factors."""
-    return (owed + 1) * perm(owed + copies, fresh - 1)
 
 
 def _enumerate_qs(mult, unit=None):
@@ -305,14 +296,12 @@ def _walk(cap, unit, stack, placed, rest, memo, lead):
             if placed[v] == cap[v]:
                 stack.pop()
             word.append(letters[v])
-            if fresh > low:
-                next_try.append(1)
+            if fresh > low or (
+                fresh == 2
+                and (group := memo.group(stack, placed, rest - len(word))) is None
+            ):
+                next_try.append(1)  # walk on below this letter
                 continue
-            if fresh == 2:
-                group = memo.group(stack, placed, rest - len(word))
-                if group is None:  # too many letters to hold: walk on
-                    next_try.append(1)
-                    continue
             head = tuple(word) if ints else "".join(word)[lead:]
             if fresh == 2:
                 yield from map(head.__add__, group)
@@ -372,11 +361,10 @@ class _Memo:
         self.held = 0  # letters in words, and bytes in the keys
 
     def group(self, stack, placed, rest):
-        """The completions of the state, which has rest letters to go,
-        or None if they hold more than _GROUP_LETTERS letters: there are
-        at least rest completions of rest letters each."""
-        if rest * rest > _GROUP_LETTERS:
-            return None
+        """The completions of the state, which has rest letters to go, or
+        None if they hold more than _GROUP_LETTERS letters. With C copies
+        of its two fresh values, the state has (rest - C + 1) * rest
+        completions of rest letters each."""
         try:
             key = bytes(stack + placed)
         except ValueError:  # a value or a count past 255
@@ -384,9 +372,10 @@ class _Memo:
         run = self.runs.get(key)
         if run is not None:
             return self.words[run.start : run.stop]
-        words = self.build(stack, placed, rest)
-        if words is None:
+        copies = sum([c for c, p in zip(self.cap, placed) if not p])  # cap[0] is 0
+        if (rest - copies + 1) * rest * rest > _GROUP_LETTERS:
             return None
+        words = self.build(stack, placed, rest)
         if self.held > _MEMO_LETTERS:
             self.runs.clear()
             self.words.clear()
@@ -397,10 +386,7 @@ class _Memo:
         return words
 
     def build(self, stack, placed, rest):
-        """The state's completions, or None past _GROUP_LETTERS letters."""
-        copies = sum([c for c, p in zip(self.cap, placed) if not p])  # cap[0] is 0
-        if _completions(rest - copies, copies, 2) * rest > _GROUP_LETTERS:
-            return None
+        """The state's completions: the walk, run below it without a memo."""
         return list(_walk(self.cap, self.unit, stack[:], placed[:], rest, None, 0))
 
 

@@ -17,12 +17,22 @@ def _norm(c):
     return c
 
 
+def _integer(x, what):
+    """x read by operator.index: a float or a str is a ValueError naming
+    what, never truncated or left to a TypeError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError("%s must be an integer" % what) from None
+
+
 def _grade(key):
     return (key[0] + key[1] + key[2], key[0], key[1], key[2])
 
 
 def _power(base, e, one):
     """base ** e by square-and-multiply, starting from the unit `one`."""
+    e = _integer(e, "the exponent")
     if e < 0:
         raise ValueError("negative power")
     result = one
@@ -81,8 +91,8 @@ class PolyTUV:
         return cls({(0, 0, 0): 1})
 
     @classmethod
-    def monomial(cls, et, eu, ev, c=1):
-        return cls({(et, eu, ev): c})
+    def monomial(cls, et, eu, ev):
+        return cls({(et, eu, ev): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -133,7 +143,9 @@ class PolyTUV:
         return _power(self, e, PolyTUV.one())
 
     def value_at(self, t, u, v):
-        """Evaluate exactly at the given scalar point."""
+        """Evaluate exactly at the given point of ints or Fractions."""
+        if not all(isinstance(x, (int, Fraction)) for x in (t, u, v)):
+            raise ValueError("the point must be ints or Fractions")
         total = 0
         for (et, eu, ev), c in self.terms.items():
             total += c * t**et * u**eu * v**ev
@@ -200,8 +212,7 @@ class SeriesT:
 
     def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
+        order = len(coeffs) - 1 if order is None else _integer(order, "the order")
         if order < 0:
             raise ValueError("order must be non-negative")
         coeffs = coeffs[: order + 1]
@@ -214,6 +225,7 @@ class SeriesT:
         return cls([c], order)
 
     def coefficient(self, k):
+        k = _integer(k, "the index")
         if not 0 <= k <= self.order:
             raise IndexError("coefficient beyond truncation order")
         return self.coeffs[k]

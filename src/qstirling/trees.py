@@ -98,41 +98,34 @@ def parse_tree(text):
     return node
 
 
-def iter_vertices(t):
-    """Yield (node, depth) over all vertices, preorder."""
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        for child in reversed(node[1]):
-            stack.append((child, depth + 1))
-
-
 def infer_spec(t):
     """The MultisetSpec of the family `t` belongs to, or ValueError
     naming a defect, in one pass over the tree.
 
-    The root must be labeled 0 and every other label be at least 1; each
-    odd vertex labeled i may carry only children labeled i, and it must
-    be the only odd vertex labeled i, so that it has count(i) - 1
-    children; and the labels must cover 1..n.
+    Every label must be an int (a float, a bool or a str is refused), the
+    root's 0 and every other label at least 1; each odd vertex labeled i
+    may carry only children labeled i, and it must be the only odd vertex
+    labeled i, so that it has count(i) - 1 children; and the labels must
+    cover 1..n.
     """
     label, children = t
-    if label != 0:
+    if label != 0 or label.__class__ is not int:
         raise ValueError("root must be labeled 0")
     kids = {}  # label -> number of children of its odd vertex
     stack = list(children)  # odd vertices still to check
     while stack:
         label, evens = stack.pop()
+        if label.__class__ is not int:
+            raise ValueError("label %r is not an int" % (label,))
         if label < 1:
             raise ValueError("non-root label %d out of range" % label)
         if label in kids:
             raise ValueError("value %d has more than one odd vertex" % label)
         kids[label] = len(evens)
         for even in evens:
-            if even[0] != label:
+            if even[0] != label or even[0].__class__ is not int:
                 raise ValueError(
-                    "odd vertex %d has a child labeled %d" % (label, even[0])
+                    "odd vertex %d has a child labeled %r" % (label, even[0])
                 )
             stack.extend(even[1])
     n = len(kids)

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from itertools import islice
 from math import factorial
 from types import SimpleNamespace
@@ -293,14 +294,39 @@ def test_enumeration_across_memo_evictions(monkeypatch, mult):
     assert len(built) > 2 * len(set(built))  # each state is built again
 
 
-def test_completion_count_formula():
-    # (L + 1)(L + C)(L + C - 1)... with k - 1 factors, for L letters owed
-    # to the open values and C copies of the k fresh values
-    for left in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 2, 1), (2, 2), (1, 3, 1)]:
-        for copies in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 3), (2, 2), (1, 1, 1), (1, 2, 1)]:
-            if sum(left) + sum(copies) <= 7:
-                want = oracles.state_completions(left, copies)
-                assert core._completions(sum(left), sum(copies), len(copies)) == want
+@pytest.mark.parametrize("mult", [(2,) * 6, (1, 3, 1, 1, 3, 2)])
+def test_memo_builds_exactly_the_states_that_fit(monkeypatch, mult):
+    # with _GROUP_LETTERS at 60, every state the memo is asked about is
+    # built exactly when its completions, counted by the oracle, hold at
+    # most 60 letters; the words match those of the plain walk
+    asked, built = {}, set()
+    group, build = core._Memo.group, core._Memo.build
+
+    def ask(memo, stack, placed, rest):
+        asked[bytes(stack + placed)] = (tuple(stack), tuple(placed), rest)
+        return group(memo, stack, placed, rest)
+
+    monkeypatch.setattr(core._Memo, "group", ask)
+    monkeypatch.setattr(
+        core._Memo, "build", lambda m, *a: built.add(bytes(a[0] + a[1])) or build(m, *a)
+    )
+    monkeypatch.setattr(core, "_GROUP_LETTERS", 60)
+    words = list(core._enumerate_qs(mult))
+    monkeypatch.setattr(core, "_MEMO_VALUES", len(mult) + 1)
+    assert words == list(core._enumerate_qs(mult))
+    count = lru_cache(oracles.state_completions)
+    cap = (0,) + mult
+    checked = 0
+    for key, (stack, placed, rest) in asked.items():
+        if rest > 8:  # at least rest completions of rest letters each
+            assert key not in built
+            continue
+        left = tuple(cap[v] - placed[v] for v in stack)
+        copies = tuple(c for c, p in zip(cap[1:], placed[1:]) if not p)
+        assert len(copies) == 2 and sum(left + copies) == rest
+        assert (key in built) == (count(left, copies) * rest <= 60), (stack, placed)
+        checked += 1
+    assert built and checked > len(built)
 
 
 @pytest.mark.parametrize("text", [False, True])

@@ -139,6 +139,26 @@ def test_series_construction_and_coefficient():
         SeriesT([], order=-1)
 
 
+def test_sizes_and_points_are_read_exactly():
+    # an order, an index or an exponent is an integer, never a float
+    # truncated or tripping a TypeError; a point is ints or Fractions
+    s = SeriesT([1, 2])
+    for call in (
+        lambda: SeriesT([1], 2.0),
+        lambda: s.coefficient(1.0),
+        lambda: s ** 2.0,
+        lambda: PolyTUV.one() ** 2.0,
+        lambda: PolyTUV.one() ** "2",
+        lambda: PolyTUV.one().value_at(1.5, 1, 1),
+        lambda: _qs22().value_at(1, "1", 1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(IndexError):
+        s.coefficient(-1)
+    assert _qs22().value_at(Fraction(1, 2), 1, True) == Fraction(5, 4)
+
+
 def test_series_ring_arithmetic():
     z = SeriesT([0, 1], order=5)
     geom = sum(z ** k for k in range(6))

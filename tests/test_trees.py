@@ -39,16 +39,6 @@ def test_parse_rejects(bad):
         q.parse_tree(bad)
 
 
-def test_iter_vertices_depths():
-    t = q.parse_tree("0(2(2),1)")
-    seen = [(node[0], depth) for node, depth in q.iter_vertices(t)]
-    assert (0, 0) in seen
-    assert (2, 1) in seen
-    assert (2, 2) in seen
-    assert (1, 1) in seen
-    assert len(seen) == 4
-
-
 def test_infer_spec():
     assert q.infer_spec(q.parse_tree("0(2(2),1)")).mult == (1, 2)
     assert q.infer_spec(q.parse_tree(FIGURE_TREE)).mult == (1, 1, 2, 1, 3, 1, 2)
@@ -63,6 +53,24 @@ def test_infer_spec():
         q.infer_spec(q.parse_tree("0(1(1),1(1))"))  # two odd vertices 1
     with pytest.raises(ValueError):
         q.infer_spec(q.parse_tree("0(1,1)"))  # odd vertex 1 lacks its one child
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (0.0, ((2, ((2, ()),)), (1, ()))),  # root
+        (0, ((2, ((2, ()),)), (1.0, ()))),  # odd vertex
+        (0, ((2, ((2.0, ()),)), (1, ()))),  # even vertex
+        (0, ((2, ((2, ()),)), (True, ()))),
+        (0, ((2, (("2", ()),)), (1, ()))),
+    ],
+)
+def test_labels_must_be_ints(t):
+    # "0(2(2),1)" with one label that equals an int or is text
+    for call in (q.phi, lambda t: q.psi(t, 2), q.big_psi):
+        with pytest.raises(ValueError):
+            call(t)
+    assert q.tree_violation(t, (1, 2)) is not None
 
 
 def test_tree_violation_cases():
