@@ -34,7 +34,8 @@ from .trees import infer_spec
 
 
 def _checked_word(w):
-    w = tuple(w)
+    # the kernels tell labels by class, so they get the ints read here
+    w = _integers(w, "word values must be integers")
     spec = word_spec(w)
     if not is_quasi_stirling(w):
         raise ValueError("word is not quasi-Stirling")

@@ -20,10 +20,9 @@ Everything in this module is a pure function on immutable data.
 
 from collections import Counter
 from math import perm
-from operator import index
 from typing import Iterator, NamedTuple
 
-from .exactpoly import PolyTUV
+from .exactpoly import PolyTUV, _integers
 
 
 class StatTriple(NamedTuple):
@@ -81,15 +80,6 @@ class MultisetSpec:
 def _as_spec(m):
     """m if it is a MultisetSpec, else the spec of the multiplicities m."""
     return m if isinstance(m, MultisetSpec) else MultisetSpec(m)
-
-
-def _integers(values, message):
-    """tuple(values), each read by operator.index: a float or a str is a
-    ValueError with the message, never truncated or left to a TypeError."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(message) from None
 
 
 def _numbers(text, what, whole=None, strip=False):

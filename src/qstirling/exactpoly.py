@@ -17,13 +17,13 @@ def _norm(c):
     return c
 
 
-def _integer(x, what):
-    """x read by operator.index: a float or a str is a ValueError naming
-    what, never truncated or left to a TypeError."""
+def _integers(values, message):
+    """tuple(values), each read by operator.index: a float or a str is a
+    ValueError with the message, never truncated or left to a TypeError."""
     try:
-        return index(x)
+        return tuple(map(index, values))
     except TypeError:
-        raise ValueError("%s must be an integer" % what) from None
+        raise ValueError(message) from None
 
 
 def _grade(key):
@@ -32,7 +32,7 @@ def _grade(key):
 
 def _power(base, e, one):
     """base ** e by square-and-multiply, starting from the unit `one`."""
-    e = _integer(e, "the exponent")
+    (e,) = _integers((e,), "the exponent must be an integer")
     if e < 0:
         raise ValueError("negative power")
     result = one
@@ -212,7 +212,9 @@ class SeriesT:
 
     def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
-        order = len(coeffs) - 1 if order is None else _integer(order, "the order")
+        if order is None:
+            order = len(coeffs) - 1
+        (order,) = _integers((order,), "the order must be an integer")
         if order < 0:
             raise ValueError("order must be non-negative")
         coeffs = coeffs[: order + 1]
@@ -225,7 +227,7 @@ class SeriesT:
         return cls([c], order)
 
     def coefficient(self, k):
-        k = _integer(k, "the index")
+        (k,) = _integers((k,), "the index must be an integer")
         if not 0 <= k <= self.order:
             raise IndexError("coefficient beyond truncation order")
         return self.coeffs[k]

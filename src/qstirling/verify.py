@@ -7,15 +7,16 @@ zeta take (m, n) pairs; eq4 takes (n, r) pairs; eq2 also takes the
 series order. `sweep_domain` gives the domain every check sweeps under
 a size bound, and `verify_suite` runs all of them over it.
 
-thm22, thm23 and thm11 run the bijection kernels directly on the trees
-and words they enumerate, which are valid by construction, rather than
-the public maps, which would validate each input again. Each image is
-tested against its target family before an inverse kernel runs on it
-(thm22 and thm11 look words up in the enumerated family, thm23 validates
-trees), so a kernel that strays outside the family fails the identity.
+The bijection checks thm22 (phi), thm23 (psi), thm11 (big_phi) and zeta
+share one loop: each image must lie in the target family, tested before
+any other kernel runs on it, keep the statistics and map back to its
+source, and the images must cover the family. thm22, thm23 and thm11
+run the kernels on the trees and words they enumerate, which are valid
+by construction, not the public maps, which would validate them again.
 """
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from operator import sub
 
@@ -55,49 +56,67 @@ def sweep_domain(name, max_K):
     ]
 
 
-def thm22(specs):
-    """phi: bijection onto the word family, carrying all five statistics."""
+def _check_bijection(name, sources, forward, inverse, family, same_stats, tag, over):
+    """(cases, failures) for `forward` as a bijection from `sources` onto
+    the set `family`. Per source x, in this order: y = forward(x) is in
+    `family`, same_stats(x, y) holds and inverse(y) == x; then the images
+    cover `family`. tag(x) and `over` name x and the family in a failure."""
     cases = 0
     failures = []
-    for spec in specs:
-        family = list(core.enumerate_qs(spec))
-        members = set(family)
-        words = []
-        for t in trees._trees(spec):
-            cases += 1
-            w = bijections._phi(t)
-            if w not in members:
-                failures.append(
-                    "phi image outside the family at tree %s" % trees.render_tree(t)
-                )
-                continue
-            ws = core.stats(w)
-            if trees.tree_stats(t) != (ws.des, ws.asc, ws.plat, w[0], w[-1]):
-                failures.append(
-                    "statistics mismatch at tree %s" % trees.render_tree(t)
-                )
-            if bijections._phi_inv(w, spec.mult) != t:
-                failures.append("round trip failed at tree %s" % trees.render_tree(t))
-            words.append(w)
-        # the family is listed in lex order without repeats
-        if sorted(words) != family:
-            failures.append(
-                "phi image over %s is not the whole word family" % spec.to_text()
-            )
+    images = set()
+    for x in sources:
+        cases += 1
+        y = forward(x)
+        if y not in family:
+            failures.append("%s image outside the family at %s" % (name, tag(x)))
+            continue
+        if not same_stats(x, y):
+            failures.append("%s statistics changed at %s" % (name, tag(x)))
+        if inverse(y) != x:
+            failures.append("%s round trip failed at %s" % (name, tag(x)))
+        images.add(y)
+    if images != family:
+        failures.append("%s image over %s is not the whole family" % (name, over))
     return cases, failures
 
 
-def _psi_tag(t, j):
-    # rendered only for a failure message
-    return "%s j=%d" % (trees.render_tree(t), j)
+def _total(results):
+    """The (cases, failures) pairs of several runs, summed."""
+    cases = 0
+    failures = []
+    for c, f in results:
+        cases += c
+        failures += f
+    return cases, failures
+
+
+def _phi_stats_agree(t, w):
+    ws = core.stats(w)
+    return trees.tree_stats(t) == (ws.des, ws.asc, ws.plat, w[0], w[-1])
+
+
+def thm22(specs):
+    """phi: bijection onto the word family, carrying all five statistics."""
+    return _total(
+        _check_bijection(
+            "phi",
+            trees._trees(spec),
+            bijections._phi,
+            partial(bijections._phi_inv, mult=spec.mult),
+            set(core.enumerate_qs(spec)),
+            _phi_stats_agree,
+            lambda t: "tree " + trees.render_tree(t),
+            spec.to_text(),
+        )
+        for spec in specs
+    )
 
 
 def thm23(specs):
     """psi: invertible, statistic-preserving, onto the shifted family."""
     phi, phi_inv = bijections._phi, bijections._phi_inv
     transport = bijections._transport
-    cases = 0
-    failures = []
+    results = []
     for spec in specs:
         source = list(trees._trees(spec))
         for j in range(2, spec.n + 1):
@@ -107,57 +126,42 @@ def thm23(specs):
             shifted[j - 2] += 1
             shifted[j - 1] -= 1
             target = core.MultisetSpec(tuple(shifted))
-            family = set(trees._trees(target))
-            images = set()
-            for t in source:
-                cases += 1
-                t2 = phi_inv(transport(phi(t), spec.mult, ((j, 1),), ()), target.mult)
-                if t2 not in family:
-                    failures.append("psi image invalid at %s" % _psi_tag(t, j))
-                    continue
+            step = ((j, 1),)
+            results.append(_check_bijection(
+                "psi",
+                source,
+                lambda t: phi_inv(transport(phi(t), spec.mult, step, ()), target.mult),
+                lambda t: phi_inv(transport(phi(t), target.mult, (), step), spec.mult),
+                set(trees._trees(target)),
                 # (cdes, casc, eleaf); the end labels may move
-                if trees.tree_stats(t)[:3] != trees.tree_stats(t2)[:3]:
-                    failures.append("psi statistics changed at %s" % _psi_tag(t, j))
-                back = phi_inv(transport(phi(t2), target.mult, (), ((j, 1),)), spec.mult)
-                if back != t:
-                    failures.append("psi round trip failed at %s" % _psi_tag(t, j))
-                images.add(t2)
-            if images != family:
-                failures.append(
-                    "psi is not onto over %s at j=%d" % (spec.to_text(), j)
-                )
-    return cases, failures
+                lambda t, t2: trees.tree_stats(t)[:3] == trees.tree_stats(t2)[:3],
+                lambda t: "%s j=%d" % (trees.render_tree(t), j),
+                "%s at j=%d" % (spec.to_text(), j),
+            ))
+    return _total(results)
 
 
 def thm11(specs):
     """big_phi: bijection onto the flattened family, triple preserved."""
-    cases = 0
-    failures = []
+    transport = bijections._transport
+    results = []
     families = {}  # (n, K) -> the flattened family, enumerated once
-    tag = core.word_to_text  # called only for a failure message
     for spec in specs:
         flat = bijections.flattened_spec(spec)
-        family = families.get((spec.n, spec.K))
-        if family is None:
-            family = families[spec.n, spec.K] = set(core.enumerate_qs(flat))
+        if (spec.n, spec.K) not in families:
+            families[spec.n, spec.K] = set(core.enumerate_qs(flat))
         schedule = bijections._shift_schedule(spec.mult)
-        images = set()
-        for w in core.enumerate_qs(spec):
-            cases += 1
-            w2 = bijections._transport(w, spec.mult, schedule, ())
-            if w2 not in family:
-                failures.append("flattened image outside the family at %s" % tag(w))
-                continue
-            if core.stats(w) != core.stats(w2):
-                failures.append("statistic triple changed at %s" % tag(w))
-            if bijections._transport(w2, flat.mult, (), schedule) != w:
-                failures.append("big_phi round trip failed at %s" % tag(w))
-            images.add(w2)
-        if images != family:
-            failures.append(
-                "flattened image over %s is not the whole family" % spec.to_text()
-            )
-    return cases, failures
+        results.append(_check_bijection(
+            "big_phi",
+            core.enumerate_qs(spec),
+            lambda w: transport(w, spec.mult, schedule, ()),
+            lambda w: transport(w, flat.mult, (), schedule),
+            families[spec.n, spec.K],
+            lambda w, w2: core.stats(w) == core.stats(w2),
+            core.word_to_text,
+            spec.to_text(),
+        ))
+    return _total(results)
 
 
 def thm12(specs):
@@ -258,23 +262,19 @@ def eq7(pairs):
 
 def zeta(pairs):
     """zeta: bijection with the three additive statistic identities."""
-    cases = 0
-    failures = []
-    for m, n in pairs:
-        spec = core.MultisetSpec((m,) + (1,) * (n - 1))
-        seen = set()
-        for a in bijections.enumerate_perm_tuples(m, n, anchor=1):
-            cases += 1
-            tag = bijections.perm_tuple_to_text(a)
-            w = bijections.zeta(a)
-            if bijections.zeta_inv(w) != a:
-                failures.append("zeta round trip failed at %s" % tag)
-            if core.stats(w) != core._tuple_stats(a):
-                failures.append("zeta statistics differ at %s" % tag)
-            seen.add(w)
-        if seen != set(core.enumerate_qs(spec)):
-            failures.append("zeta image misses words at m=%d, n=%d" % (m, n))
-    return cases, failures
+    return _total(
+        _check_bijection(
+            "zeta",
+            bijections.enumerate_perm_tuples(m, n, anchor=1),
+            bijections.zeta,
+            bijections.zeta_inv,
+            set(core.enumerate_qs(core.MultisetSpec((m,) + (1,) * (n - 1)))),
+            lambda a, w: core._tuple_stats(a) == core.stats(w),
+            bijections.perm_tuple_to_text,
+            "m=%d, n=%d" % (m, n),
+        )
+        for m, n in pairs
+    )
 
 
 def eq4(pairs):

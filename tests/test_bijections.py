@@ -30,6 +30,18 @@ def test_phi_inv_examples():
     assert q.validate_tree(t, q.MultisetSpec((1, 1, 2, 1, 3, 1, 2)))
 
 
+def test_word_maps_read_true_as_one():
+    # the kernels get the integers the maps read, not the letters given
+    for call in (
+        lambda one: q.phi_inv((2, one, 2)),
+        lambda one: q.big_phi((2, 2, one)),
+        lambda one: q.big_phi_inv((one, one, 2), (1, 2)),
+        lambda one: q.transport((2, 2, one), (1, 2)),
+    ):
+        assert call(True) == call(1)
+    assert q.phi(q.phi_inv((True,))) == (1,)
+
+
 def test_phi_rejects_invalid():
     with pytest.raises(ValueError):
         q.phi(q.parse_tree("0(1(2),2(1))"))

@@ -401,18 +401,49 @@ def test_verify_suite_honours_order(capsys, monkeypatch):
 
 
 def test_kernel_image_outside_family_fails(capsys, monkeypatch):
-    # each faulty kernel appends a value absent from every family
-    real_phi, real_transport = bijections._phi, bijections._transport
-    monkeypatch.setattr(bijections, "_phi", lambda t: real_phi(t) + (99,))
-    monkeypatch.setattr(
-        bijections, "_transport", lambda *args: real_transport(*args) + (99,)
-    )
-    for check in ("thm22", "thm11"):
-        code, out, _ = run_cli(
-            capsys, "verify", "--check", check, "--mult", "2,1", "--format", "lines"
+    # each faulty kernel appends a value absent from every family; the
+    # stray image is never handed to an inverse, which would refuse it
+    for kernel, argv, verdict in (
+        ("_phi", ("--check", "thm22", "--mult", "2,1"), "FAIL thm22 (cases=3)"),
+        ("_transport", ("--check", "thm11", "--mult", "2,1"), "FAIL thm11 (cases=3)"),
+        ("zeta", ("--suite", "--max-K", "3"), "FAIL zeta (cases=14)"),
+    ):
+        real = getattr(bijections, kernel)
+        with monkeypatch.context() as patch:
+            patch.setattr(bijections, kernel, lambda *args: real(*args) + (99,))
+            code, out, err = run_cli(capsys, "verify", *argv, "--format", "lines")
+        assert (code, err) == (1, ""), kernel
+        assert verdict in out.splitlines(), out
+
+
+def test_bijection_check_names_each_broken_property():
+    # x -> x + 1 from range(5) onto {1..5}, broken one property at a time
+    def check(
+        forward=lambda x: x + 1,
+        inverse=lambda y: y - 1,
+        family=frozenset(range(1, 6)),
+        same_stats=lambda x, y: True,
+    ):
+        tag = "x=%d".__mod__
+        return verify._check_bijection(
+            "inc", range(5), forward, inverse, family, same_stats, tag, "1..5"
         )
-        assert code == 1, check
-        assert out.startswith("FAIL %s (cases=3)" % check), out
+
+    assert check() == (5, [])
+    onto = "inc image over 1..5 is not the whole family"
+    assert check(forward=lambda x: (1, 2, 3, 4, 9)[x]) == (
+        5,
+        ["inc image outside the family at x=4", onto],
+    )
+    assert check(same_stats=lambda x, y: x != 2) == (
+        5,
+        ["inc statistics changed at x=2"],
+    )
+    assert check(inverse=lambda y: (y - 1) % 4) == (
+        5,
+        ["inc round trip failed at x=4"],
+    )
+    assert check(family=frozenset(range(1, 7))) == (5, [onto])
 
 
 def test_unexpected_error_exits_three(capsys, monkeypatch):
