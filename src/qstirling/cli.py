@@ -232,8 +232,10 @@ def _cmd_verify(args):
 
 @functools.cache
 def _build_parser():
-    # one parser per process, built on the first run(): parse_args keeps
-    # no state in it and gives each call a fresh Namespace
+    # one parser per process, built on the first run(): parsing keeps no
+    # state in it and gives each call a fresh Namespace. The verb map
+    # comes with it: run() hands an argv that starts with a verb to that
+    # verb's parser alone, and every other argv to the top-level parser
     parser = argparse.ArgumentParser(
         prog="qstirling",
         description=(
@@ -299,7 +301,7 @@ def _build_parser():
     common(p, mult=True)
     p.set_defaults(fn=_cmd_count)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv):
@@ -308,10 +310,21 @@ def run(argv):
 
     The parser is built on the first call and reused for the life of the
     process, so repeated calls pay only for their own work; no value set
-    by one call carries into the next."""
-    parser = _build_parser()
+    by one call carries into the next. An argv that starts with a verb is
+    parsed by that verb's parser alone, and anything it leaves over is
+    refused by the top-level parser, as the top-level parse would refuse
+    it; the top-level parser parses every other argv, so an empty argv,
+    -h and an unknown verb get its usage, help and errors."""
+    parser, verbs = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in verbs:
+            # the top-level parse would hand the verb's parser every
+            # string after the verb, -h and -- included
+            args, extra = verbs[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

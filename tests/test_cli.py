@@ -1,5 +1,6 @@
 """Command-line surface: frozen outputs, formats and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -529,9 +530,13 @@ def test_argparse_level_errors(capsys):
     assert code == 2
 
 
-def test_help_exits_zero(capsys):
-    assert run_cli(capsys, "--help")[0] == 0
-    assert run_cli(capsys, "enumerate", "--help")[0] == 0
+def test_help_exits_zero(capsys, monkeypatch):
+    # each help is its own parser's text, byte for byte, at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, verbs = cli._build_parser()
+    assert run_cli(capsys, "--help") == (0, parser.format_help(), "")
+    for verb, verb_parser in verbs.items():
+        assert run_cli(capsys, verb, "--help") == (0, verb_parser.format_help(), "")
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
@@ -547,6 +552,9 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("verify", "--check", "eq2"),  # the default order 8, not the 3 above
         ("map", "--which", "phi-inv", "--perm", "1,2,2,1", "--format", "json"),
         ("map", "--which", "phi-inv", "--perm", "1,2,2,1"),  # default: lines
+        ("count", "--mult", "1", "x"),  # a trailing extra is refused
+        ("enumerate", "--mul", "1,1"),  # an abbreviated option
+        ("count", "--mult", "9", "--mult", "2,2"),  # the last --mult wins
     ]
     first = [run_cli(capsys, *argv) for argv in sequence]
     again = [run_cli(capsys, *argv) for argv in sequence]
@@ -557,7 +565,86 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
     assert first[2][1].startswith("usage: qstirling verify")
     assert first[5][:2] == (0, '{"result": "0(1(1(2(2))))"}\n')
     assert first[6][:2] == (0, "0(1(1(2(2))))\n")
+    assert first[7] == (
+        2,
+        "",
+        "usage: qstirling [-h] verb ...\n"
+        "qstirling: error: unrecognized arguments: x\n",
+    )
+    assert first[8] == (0, "1,2\n2,1\n", "")
+    assert first[9] == (0, '{"K": 4, "count": 4, "mult": "2,2", "n": 2}\n', "")
     assert cli._build_parser() is cli._build_parser()
+
+
+# argvs that start with a verb skip the top-level parse; each must
+# give what the whole top-level route gives
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    *([verb, "-h"] for verb in ("enumerate", "stats", "poly", "map", "verify", "count")),
+    ["count", "--mult", "1", "-h"],
+    ["frobnicate"],
+    ["--mult", "1", "enumerate"],
+    ["count", "--mult=1,2"],
+    ["enumerate", "--mul", "1,2"],
+    ["count", "--mult", "2,1", "--f", "json"],
+    ["count", "--mult", "9", "--mult", "2,2", "--format", "lines"],
+    ["count", "--mult", "1", "x"],
+    ["count", "--mult", "1", "--", "x"],
+    ["count", "--", "--mult", "1"],
+    ["--", "count", "--mult", "1"],
+    ["map", "--which", "Phi", "--perm", "-1"],
+    ["map", "--which", "phi-inv", "--perm", "1,2,2,1"],
+    ["stats", "--perm", "1,2,2,1", "--format", "lines"],
+    ["poly", "--mult", "2,1"],
+    ["verify", "--check", "eq5", "--mult", "2,3"],
+    ["count", "--mult"],
+    ["count", "--mult", "1", "--format", "xml"],
+    ["enumerate", "--bogus-flag", "1"],
+]
+
+
+def _top_level_run(argv):
+    """run() with the whole argv read by the top-level parser."""
+    parser = cli._build_parser()[0]
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        return 0 if e.code in (0, None) else 2
+    try:
+        return args.fn(args)
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    except Exception as e:
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_verb_parser_alone_matches_the_top_level_route(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        parsed.append(vars(result[0]))
+        return result
+
+    def route(run):
+        parsed.clear()
+        code = run(list(argv))
+        # the outermost parse returns last and holds the whole Namespace;
+        # only the top-level route names the verb in it
+        args = dict(parsed[-1]) if parsed else None
+        if args is not None:
+            args.pop("verb", None)
+        return code, capsys.readouterr(), args
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert route(cli.run) == route(_top_level_run)
 
 
 def test_byte_identical_reruns(capsys):
