@@ -110,7 +110,7 @@ def test_criterion_04_multiplicity_shift():
     _report(
         4,
         "every admissible single-value shift is invertible and keeps "
-        "(cdes, casc, eleaf), every multiset up to size 7",
+        "(asc, des, plat) of the words, every multiset up to size 7",
         failures,
     )
 
@@ -264,11 +264,14 @@ def test_criterion_13_mutation_sensitivity(monkeypatch):
         lambda moved, relabeled: [relabeled] + list(moved),
     )
     _, report = verify.verify_suite(5)
-    verdicts = {entry["name"]: entry["pass"] for entry in report["checks"]}
+    counts = {
+        entry["name"]: (entry["cases"], entry.get("failure_count", 0))
+        for entry in report["checks"]
+    }
     failures = [
-        "%s missed the corruption" % name
-        for name in ("thm23", "thm11")
-        if verdicts[name]
+        "%s gave (cases, failures) %s, expected %s" % (name, counts[name], expected)
+        for name, expected in (("thm23", (350, 30)), ("thm11", (591, 46)))
+        if counts[name] != expected
     ]
     _report(
         13,

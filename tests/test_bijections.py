@@ -228,9 +228,12 @@ def test_suite_catches_a_skipped_rotation(monkeypatch):
     # case 1 of the psi steps leaves the special child where it was
     monkeypatch.setattr(bijections, "_rotate_to_front_order", lambda ys, pos: ys)
     ok, report = verify.verify_suite(5)
-    verdicts = {entry["name"]: entry["pass"] for entry in report["checks"]}
+    counts = {
+        entry["name"]: (entry["cases"], entry.get("failure_count", 0))
+        for entry in report["checks"]
+    }
     assert not ok
-    assert not verdicts["thm23"] and not verdicts["thm11"]
+    assert (counts["thm23"], counts["thm11"]) == ((350, 52), (591, 34))
 
 
 # -- max_descent_decompose ---------------------------------------------

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import sweeps
-from qstirling import bijections, cli, core, genfun, verify
+from qstirling import bijections, cli, core, excedance, genfun, verify
 
 FIGURE_WORD_TEXT = "2,7,4,7,5,6,3,3,5,1,5"
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -402,19 +402,30 @@ def test_verify_suite_honours_order(capsys, monkeypatch):
 
 
 def test_kernel_image_outside_family_fails(capsys, monkeypatch):
-    # each faulty kernel appends a value absent from every family; the
-    # stray image is never handed to an inverse, which would refuse it
-    for kernel, argv, verdict in (
-        ("_phi", ("--check", "thm22", "--mult", "2,1"), "FAIL thm22 (cases=3)"),
-        ("_transport", ("--check", "thm11", "--mult", "2,1"), "FAIL thm11 (cases=3)"),
-        ("zeta", ("--suite", "--max-K", "3"), "FAIL zeta (cases=14)"),
+    # each faulty kernel adds a value absent from every family: exactly
+    # the checks that use it fail, none crashes
+    append = lambda out: out + (99,)
+    stray_path = lambda rep: rep._replace(paths=rep.paths + ((99,),))
+    stray_term = lambda terms: {**terms, (99, 0, 0): 1}
+    suite = ("--suite", "--max-K", "3")
+    for owner, kernel, stray, argv, fails in (
+        (bijections, "_phi", append, ("--check", "thm22", "--mult", "2,1"), ["thm22 (cases=3)"]),
+        (bijections, "_transport", append, ("--check", "thm11", "--mult", "2,1"), ["thm11 (cases=3)"]),
+        (bijections, "zeta", append, suite, ["zeta (cases=14)"]),
+        (bijections, "_phi", append, suite, ["thm22 (cases=17)", "thm23 (cases=3)", "thm11 (cases=17)"]),
+        (bijections, "_phi_inv", append, suite, ["thm22 (cases=17)"]),
+        (bijections, "_transport", append, suite, ["thm23 (cases=3)", "thm11 (cases=17)"]),
+        (bijections, "zeta_inv", append, suite, ["zeta (cases=14)"]),
+        (excedance, "to_path_cycle", stray_path, suite, ["eq4 (cases=14)"]),
+        (genfun, "_gap_insertion", stray_term, suite, ["coro15 (cases=7)", "eq5 (cases=6)", "eq7 (cases=6)"]),
     ):
-        real = getattr(bijections, kernel)
+        real = getattr(owner, kernel)
         with monkeypatch.context() as patch:
-            patch.setattr(bijections, kernel, lambda *args: real(*args) + (99,))
+            patch.setattr(owner, kernel, lambda *a, **kw: stray(real(*a, **kw)))
             code, out, err = run_cli(capsys, "verify", *argv, "--format", "lines")
-        assert (code, err) == (1, ""), kernel
-        assert verdict in out.splitlines(), out
+        assert (code, err) == (1, ""), (kernel, argv, err)
+        got = [line[5:] for line in out.splitlines() if line.startswith("FAIL ")]
+        assert got == fails, (kernel, argv, out)
 
 
 def test_bijection_check_names_each_broken_property():
