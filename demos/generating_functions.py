@@ -55,5 +55,5 @@ m, n = 2, 3
 print("\ntuple polynomial m=%d n=%d:" % (m, n))
 print("  brute force:", perm_tuple_polynomial(m, n).pretty())
 print("  formula:    ", perm_tuple_polynomial_formula(m, n).pretty())
-print("  anchored:   ", perm_tuple_polynomial(m, n, anchor=1).pretty())
+print("  anchored:   ", perm_tuple_polynomial(m, n, anchored=True).pretty())
 print("  flat family:", qs_polynomial(MultisetSpec((m, 1, 1))).pretty())

@@ -29,7 +29,7 @@ sequences into a single word.
 from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, _as_spec, _integers, _numbers, is_quasi_stirling
-from .core import stats, word_spec, word_to_text
+from .core import _expect, stats, word_spec, word_to_text
 from .trees import infer_spec
 
 
@@ -383,16 +383,11 @@ def max_descent_decompose(w):
 # tuples of disjoint sequences
 
 
-def _int_parts(a):
-    """The parts of a as tuples of ints; a float or a str in one is a ValueError."""
-    return tuple(_integers(p, "parts must be sequences of integers") for p in a)
-
-
 def check_perm_tuple(parts, anchored=False):
-    """Raise unless the parts are disjoint sequences of distinct values
-    jointly covering 1..n; with anchored=True, value 1 must additionally
-    sit in the first part."""
-    parts = _int_parts(parts)
+    """Return the parts as tuples of ints, or raise ValueError unless they
+    are disjoint sequences of distinct values jointly covering 1..n; with
+    anchored=True, value 1 must additionally sit in the first part."""
+    parts = tuple(_integers(p, "parts must be sequences of integers") for p in parts)
     seen = []
     for part in parts:
         seen.extend(part)
@@ -403,34 +398,32 @@ def check_perm_tuple(parts, anchored=False):
     if anchored:
         if not parts or 1 not in parts[0]:
             raise ValueError("value 1 must lie in the first part")
+    return parts
 
 
 def perm_tuple_from_text(text):
     """Parse '3,1||2' into ((3, 1), (), (2,))."""
-    return tuple(_numbers(chunk, "tuple text", text) for chunk in text.split("|"))
+    chunks = _expect(text, str, "tuple text").split("|")
+    return tuple(_numbers(chunk, "tuple text", text) for chunk in chunks)
 
 
 def perm_tuple_to_text(parts):
     return "|".join(map(word_to_text, parts))
 
 
-def enumerate_perm_tuples(m, n, anchor=None):
+def enumerate_perm_tuples(m, n, anchored=False):
     """All ways to distribute 1..n over m ordered slots, each slot an
-    ordered sequence. With anchor=i, keep only tuples whose i-th slot
-    contains the value 1."""
+    ordered sequence. With anchored=True, keep only tuples whose first
+    slot contains the value 1."""
     m, n = _integers((m, n), "m and n must be integers")
-    if anchor is not None:
-        (anchor,) = _integers((anchor,), "anchor must be an integer")
     if m < 1:
         raise ValueError("need at least one slot")
     if n < 0:
         raise ValueError("need n >= 0 values, got %d" % n)
-    if anchor is not None and not 1 <= anchor <= m:
-        raise ValueError("anchor slot %r out of range 1..%d" % (anchor, m))
-    return _perm_tuples(m, n, anchor)
+    return _perm_tuples(m, n, anchored)
 
 
-def _perm_tuples(m, n, anchor):
+def _perm_tuples(m, n, anchored):
     # m - 1 nondecreasing cut points in 0..n split a permutation into the
     # slots; in lex order they list the slot sizes in lex order
     cuts = [
@@ -440,7 +433,7 @@ def _perm_tuples(m, n, anchor):
     for perm in permutations(range(1, n + 1)):
         for slices in cuts:
             parts = tuple([perm[s] for s in slices])
-            if anchor is not None and 1 not in parts[anchor - 1]:
+            if anchored and 1 not in parts[0]:
                 continue
             yield parts
 
@@ -454,8 +447,7 @@ def zeta(a):
     count the empty parts; ascents and descents are the sums of those
     of the nonempty parts.
     """
-    parts = _int_parts(a)
-    check_perm_tuple(parts, anchored=True)
+    parts = check_perm_tuple(a, anchored=True)
     first = parts[0]
     cut = first.index(1)
     out = list(first[:cut])

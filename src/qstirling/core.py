@@ -57,6 +57,7 @@ class MultisetSpec:
 
     @classmethod
     def from_text(cls, text):
+        text = _expect(text, str, "multiplicity list")
         mult = _numbers(text, "multiplicity list", strip=True)
         if not mult:
             raise ValueError("empty multiplicity list")
@@ -82,6 +83,13 @@ def _as_spec(m):
     return m if isinstance(m, MultisetSpec) else MultisetSpec(m)
 
 
+def _expect(obj, cls, what):
+    """obj if it is a cls; anything else is a ValueError naming what."""
+    if not isinstance(obj, cls):
+        raise ValueError("%s must be a %s, got %r" % (what, cls.__name__, obj))
+    return obj
+
+
 def _numbers(text, what, whole=None, strip=False):
     """The comma-separated integers in text, () if it is empty. Every
     number the program reads as text comes through here. int() alone
@@ -103,7 +111,7 @@ def _numbers(text, what, whole=None, strip=False):
 
 def word_from_text(text):
     """Parse the comma-separated wire format; blank text is the empty word."""
-    word = _numbers(text, "word text", strip=True)
+    word = _numbers(_expect(text, str, "word text"), "word text", strip=True)
     if any(v < 1 for v in word):
         raise ValueError("word values must be positive")
     return word

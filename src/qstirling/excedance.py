@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .bijections import _flat_word_params
-from .core import _complement, _integers, _numbers, word_to_text
+from .core import _complement, _expect, _integers, _numbers, word_to_text
 
 
 class PartialInj:
@@ -48,6 +48,7 @@ class PartialInj:
     @classmethod
     def from_text(cls, text):
         """Parse 'n:v1,v2,...' (or 'n:' for an empty domain)."""
+        text = _expect(text, str, "partial injection text")
         head, sep, body = text.partition(":")
         n = _numbers(head, "partial injection text", text) if sep else ()
         if len(n) != 1:
@@ -76,12 +77,13 @@ class PathCycleRep(NamedTuple):
 
 def exc(s):
     """Number of positions mapped strictly upward."""
-    return sum(1 for i, v in enumerate(s.values, 1) if v > i)
+    values = _expect(s, PartialInj, "the injection").values
+    return sum(1 for i, v in enumerate(values, 1) if v > i)
 
 
 def to_path_cycle(s):
     """Decompose the functional graph into the normal form."""
-    d = len(s.values)
+    d = len(_expect(s, PartialInj, "the injection").values)
     image = set(s.values)
     paths = []
     for start in range(1, s.n + 1):
@@ -120,6 +122,7 @@ def from_path_cycle(rep):
     or cycle elements outside it.
     """
     message = "path and cycle elements must be integers"
+    _expect(rep, PathCycleRep, "the path-cycle form")
     paths = [_integers(p, message) for p in rep.paths]
     cycles = [_integers(c, message) for c in rep.cycles]
     if not paths:
@@ -148,11 +151,13 @@ def from_path_cycle(rep):
 
 
 def render_path_cycle(rep):
+    _expect(rep, PathCycleRep, "the path-cycle form")
     paths = "".join("<%s>" % word_to_text(p) for p in rep.paths)
     return paths + "".join("(%s)" % word_to_text(c) for c in rep.cycles)
 
 
 def parse_path_cycle(text):
+    text = _expect(text, str, "path-cycle text")
     paths = []
     cycles = []
     pos = 0

@@ -121,10 +121,11 @@ def max_descent_count(m):
     return (spec.K - spec.n + 1) ** (spec.n - 1)
 
 
-def perm_tuple_polynomial(m, n, anchor=None):
+def perm_tuple_polynomial(m, n, anchored=False):
     """Brute-force sum of v^(empty parts) t^(total des) u^(total asc)
-    over the tuples from enumerate_perm_tuples(m, n, anchor)."""
-    return _stat_polynomial(map(_tuple_stats, enumerate_perm_tuples(m, n, anchor)))
+    over the tuples from enumerate_perm_tuples(m, n, anchored): with
+    anchored=True, only those with the value 1 in the first part."""
+    return _stat_polynomial(map(_tuple_stats, enumerate_perm_tuples(m, n, anchored)))
 
 
 def perm_tuple_polynomial_formula(m, n, anchored=False):

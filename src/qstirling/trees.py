@@ -23,7 +23,7 @@ zeros.
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
-from .core import MultisetSpec, _as_spec
+from .core import MultisetSpec, _as_spec, _expect
 
 
 class TreeStats(NamedTuple):
@@ -72,6 +72,7 @@ def _parse_label(text, pos):
 def parse_tree(text):
     """Parse the textual tree grammar back into nested tuples, holding
     the open subtrees on an explicit stack."""
+    text = _expect(text, str, "tree text")
     open_nodes = []  # (label, children so far) of each open subtree
     pos = 0
     while True:
@@ -106,28 +107,36 @@ def infer_spec(t):
     root's 0 and every other label at least 1; each odd vertex labeled i
     may carry only children labeled i, and it must be the only odd vertex
     labeled i, so that it has count(i) - 1 children; and the labels must
-    cover 1..n.
+    cover 1..n. A node that is no (label, children) pair with iterable
+    children is a ValueError too.
     """
-    label, children = t
-    if label != 0 or label.__class__ is not int:
-        raise ValueError("root must be labeled 0")
-    kids = {}  # label -> number of children of its odd vertex
-    stack = list(children)  # odd vertices still to check
-    while stack:
-        label, evens = stack.pop()
-        if label.__class__ is not int:
-            raise ValueError("label %r is not an int" % (label,))
-        if label < 1:
-            raise ValueError("non-root label %d out of range" % label)
-        if label in kids:
-            raise ValueError("value %d has more than one odd vertex" % label)
-        kids[label] = len(evens)
-        for even in evens:
-            if even[0] != label or even[0].__class__ is not int:
-                raise ValueError(
-                    "odd vertex %d has a child labeled %r" % (label, even[0])
-                )
-            stack.extend(even[1])
+    # one try around the walk, so a well-formed node pays no check of its shape
+    try:
+        label, children = t
+        if label != 0 or label.__class__ is not int:
+            raise ValueError("root must be labeled 0")
+        kids = {}  # label -> number of children of its odd vertex
+        stack = list(children)  # odd vertices still to check
+        while stack:
+            label, evens = stack.pop()
+            if label.__class__ is not int:
+                raise ValueError("label %r is not an int" % (label,))
+            if label < 1:
+                raise ValueError("non-root label %d out of range" % label)
+            if label in kids:
+                raise ValueError("value %d has more than one odd vertex" % label)
+            kids[label] = len(evens)
+            for even in evens:
+                if even[0] != label or even[0].__class__ is not int:
+                    raise ValueError(
+                        "odd vertex %d has a child labeled %r" % (label, even[0])
+                    )
+                stack.extend(even[1])
+    except (TypeError, LookupError):
+        raise ValueError(
+            "not a tree: each node must be a (label, children) pair"
+            " with iterable children"
+        ) from None
     n = len(kids)
     if max(kids, default=0) != n:
         missing = next(i for i in range(1, n + 1) if i not in kids)

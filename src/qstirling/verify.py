@@ -253,7 +253,7 @@ def eq7(pairs):
     polynomial of the flattened multiset all agree."""
     failures = []
     for m, n in pairs:
-        brute = genfun.perm_tuple_polynomial(m, n, anchor=1)
+        brute = genfun.perm_tuple_polynomial(m, n, anchored=True)
         formula = genfun.perm_tuple_polynomial_formula(m, n, anchored=True)
         words = core.qs_polynomial(core.MultisetSpec((m,) + (1,) * (n - 1)))
         if brute != formula or brute != words:
@@ -266,7 +266,7 @@ def zeta(pairs):
     return _total(
         _check_bijection(
             "zeta",
-            bijections.enumerate_perm_tuples(m, n, anchor=1),
+            bijections.enumerate_perm_tuples(m, n, anchored=True),
             bijections.zeta,
             bijections.zeta_inv,
             set(core.enumerate_qs(core.MultisetSpec((m,) + (1,) * (n - 1)))),

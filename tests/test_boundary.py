@@ -1,0 +1,56 @@
+"""The boundary contract: a public call outside its documented domain
+raises ValueError at the call, never TypeError or AttributeError."""
+
+import pytest
+
+import qstirling as q
+
+NOT_A_TREE = "not a tree"
+NOT_AN_INJECTION = "the injection must be a PartialInj"
+NOT_A_PATH_CYCLE = "the path-cycle form must be a PathCycleRep"
+MALFORMED_TREES = [(0, 5), (0, ((1, None),)), 0]
+
+# (function, arguments, start of the message)
+CASES = [
+    (q.exc, ((1, 2),), NOT_AN_INJECTION),
+    (q.exc, ({},), NOT_AN_INJECTION),  # has a .values, but is no injection
+    (q.to_path_cycle, ([2, 1],), NOT_AN_INJECTION),
+    (q.chi_inv, ((2, 1),), NOT_AN_INJECTION),
+    (q.delta_inv, ("3:1",), NOT_AN_INJECTION),
+    (q.from_path_cycle, (((1, 2),),), NOT_A_PATH_CYCLE),
+    (q.render_path_cycle, (((1,),),), NOT_A_PATH_CYCLE),
+    *[
+        (fn, (t, *rest), NOT_A_TREE)
+        for t in MALFORMED_TREES
+        for fn, rest in [
+            (q.infer_spec, ()),
+            (q.phi, ()),
+            (q.psi, (2,)),
+            (q.psi_inv, (2,)),
+            (q.big_psi, ()),
+        ]
+    ],
+    (q.word_from_text, (5,), "word text must be a str"),
+    (q.word_from_text, (b"1,2",), "word text must be a str"),
+    (q.MultisetSpec.from_text, (5,), "multiplicity list must be a str"),
+    (q.perm_tuple_from_text, (5,), "tuple text must be a str"),
+    (q.PartialInj.from_text, (5,), "partial injection text must be a str"),
+    (q.parse_tree, (5,), "tree text must be a str"),
+    (q.parse_path_cycle, (5,), "path-cycle text must be a str"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    CASES,
+    ids=["%s%r" % (fn.__qualname__, args) for fn, args, _ in CASES],
+)
+def test_call_outside_the_domain_is_a_value_error(fn, args, message):
+    with pytest.raises(ValueError, match="^" + message):
+        fn(*args)
+
+
+@pytest.mark.parametrize("t", MALFORMED_TREES)
+def test_malformed_tree_is_a_violation(t):
+    assert q.tree_violation(t, (1,)).startswith(NOT_A_TREE)
+    assert not q.validate_tree(t, (1,))

@@ -10,7 +10,7 @@ import pytest
 import qstirling as q
 import oracles
 import sweeps
-from qstirling import verify
+from qstirling import core, verify
 
 P = q.PolyTUV.monomial
 
@@ -169,10 +169,10 @@ def test_max_descent_count_matches_brute_force():
 
 
 def test_perm_tuple_polynomial_examples():
-    assert q.perm_tuple_polynomial(2, 2, anchor=1) == (
+    assert q.perm_tuple_polynomial(2, 2, anchored=True) == (
         P(1, 2, 1) + P(2, 1, 1) + P(2, 2, 0)
     )
-    assert q.perm_tuple_polynomial(1, 1, anchor=1) == P(1, 1, 0)
+    assert q.perm_tuple_polynomial(1, 1, anchored=True) == P(1, 1, 0)
     assert q.perm_tuple_polynomial(1, 1) == P(1, 1, 0)
 
 
@@ -182,16 +182,23 @@ def test_perm_tuple_polynomial_formula_agreement():
             brute = q.perm_tuple_polynomial(m, n)
             formula = q.perm_tuple_polynomial_formula(m, n)
             assert brute == formula
-            anchored = q.perm_tuple_polynomial(m, n, anchor=1)
+            anchored = q.perm_tuple_polynomial(m, n, anchored=True)
             assert anchored == q.perm_tuple_polynomial_formula(m, n, anchored=True)
             assert anchored == q.qs_polynomial(q.MultisetSpec((m,) + (1,) * (n - 1)))
 
 
 def test_perm_tuple_anchor_symmetry():
-    # anchoring at any part gives the same polynomial
+    # anchoring the value 1 at any part gives the same polynomial
     for m in range(1, 5):
         for n in range(1, 6 - m):
-            polys = [q.perm_tuple_polynomial(m, n, anchor=i) for i in range(1, m + 1)]
+            tuples = list(q.enumerate_perm_tuples(m, n))
+            polys = [
+                core._stat_polynomial(
+                    core._tuple_stats(a) for a in tuples if 1 in a[i]
+                )
+                for i in range(m)
+            ]
+            assert polys[0] == q.perm_tuple_polynomial(m, n, anchored=True)
             assert all(p == polys[0] for p in polys)
             # the unrestricted family is the disjoint union over anchors
             # of where value 1 lives, so the sum of any anchored one times m
@@ -205,7 +212,7 @@ def test_tuple_polynomial_counts():
         for n in range(1, 5):
             whole = q.perm_tuple_polynomial(m, n)
             assert whole.value_at(1, 1, 1) == factorial(n) * comb(n + m - 1, n)
-            anchored = q.perm_tuple_polynomial(m, n, anchor=1)
+            anchored = q.perm_tuple_polynomial(m, n, anchored=True)
             assert anchored.value_at(1, 1, 1) == factorial(n) * comb(n + m - 1, n) // m
 
 
