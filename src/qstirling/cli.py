@@ -63,21 +63,44 @@ def _verdict_line(ok, name, cases):
 
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-    # the search writes each letter as ",v", so a word is its text; both
-    # formats are lead + sep.join(words) + end, written in blocks of 32 KB
-    # and at most one line more: every word is a permutation of the one
-    # multiset, so every line has the same width
+    # the search writes each letter as ",v", so a word is its text, and
+    # yields the words of a memo state as one chunk, joined by sep; both
+    # formats are the stream lead + sep.join(chunks) + end, written in
+    # blocks of per_block lines, 32 KB and at most one line more. Every
+    # word is a permutation of the one multiset, so every line has the
+    # same width and the blocks are cut at fixed offsets of the stream:
+    # the first after per_block words, each later one per_block lines on
     unit = [",%d" % v for v in range(spec.n + 1)]
-    words = core._enumerate_qs(spec.mult, unit)
     if args.format == "json":
         lead, sep, end = '["', '", "', '"]\n'
     else:
         lead, sep, end = "", "\n", "\n"
-    width = sum(k * len(unit[v]) for v, k in enumerate(spec.mult, 1)) - 1
-    per_block = (1 << 15) // (width + len(sep)) + 1
-    while block := sep.join(islice(words, per_block)):
-        sys.stdout.write(lead + block)
-        lead = sep
+    chunks = core._enumerate_qs(spec.mult, unit, sep)
+    line = sum(k * len(unit[v]) for v, k in enumerate(spec.mult, 1)) - 1 + len(sep)
+    per_block = (1 << 15) // line + 1
+    block = per_block * line
+    cut = block - len(sep) + len(lead)
+    # below core._MEMO_VALUES values every chunk is one word, so the
+    # chunks that reach the next cut make exactly one block; above, a
+    # chunk holds up to 90 lines, and a batch of chunks keeps the
+    # text within a few blocks
+    batch = per_block if spec.n < core._MEMO_VALUES else per_block // 16 + 1
+    text = lead + next(chunks)  # each later chunk follows a sep
+    while True:
+        at = 0
+        while len(text) - at >= cut:
+            sys.stdout.write(text[at : at + cut])
+            at += cut
+            cut = block
+        # the rest is whole lines short of the cut: take as many chunks as
+        # reach it if each is one line, at most a batch
+        text = text[at:]
+        parts = [text, *islice(chunks, min(batch, (cut - len(text)) // line))]
+        if len(parts) == 1:
+            break
+        text = sep.join(parts)
+    if text:
+        sys.stdout.write(text)
     sys.stdout.write(end)
     return 0
 

@@ -225,10 +225,10 @@ def enumerate_qs(spec) -> Iterator[tuple]:
     which key the memo, and such states repeat: the 55,440 words of
     (1,3,1,1,3,2) need only 233 lists. A list is built once, by the same
     walk, run below the state without the memo. Each word is then the
-    head + a completion, joined in C. With fewer values a state is
-    reached by few heads, and building its list cost more than walking
-    below it ((4,4,4,4) took 1.3 times as long), so those families keep
-    the letter-by-letter search.
+    head + a completion, one concatenation per word. With fewer values
+    a state is reached by few heads, and building its list cost more
+    than walking below it ((4,4,4,4) took 1.3 times as long), so those
+    families keep the letter-by-letter search.
 
     Two size rules bound the memory. A state is taken from the memo only
     if its completions hold at most 1,024 letters (the rule is stated at
@@ -239,7 +239,10 @@ def enumerate_qs(spec) -> Iterator[tuple]:
 
     The search writes a letter v as the piece unit[v]: (v,) here; the
     CLI passes the text ",v", and the first piece of a word drops its
-    comma, so each word comes out as its text. It runs on explicit
+    comma, so each word comes out as its text. The CLI also passes its
+    separator, and takes all the words of a memo state as one string,
+    the head + each completion joined by the separator in one call;
+    here each word is yielded on its own. It runs on explicit
     stacks, keeping per depth the next value to try there, and the walk
     that builds a list uses no memo, so at most two walks are live at
     once and K is bounded by memory only.
@@ -255,7 +258,7 @@ _GROUP_LETTERS = 1 << 10
 _MEMO_LETTERS = 1 << 16
 
 
-def _enumerate_qs(mult, unit=None):
+def _enumerate_qs(mult, unit=None, sep=None):
     n = len(mult)
     ints = unit is None
     unit = [(v,) for v in range(n + 1)] if ints else unit
@@ -264,14 +267,16 @@ def _enumerate_qs(mult, unit=None):
         return iter([word if ints else word[1:]])
     cap = (0,) + mult
     memo = _Memo(cap, unit) if n >= _MEMO_VALUES else None
-    return _walk(cap, unit, [], [0] * (n + 1), sum(mult), memo, 1)
+    return _walk(cap, unit, [], [0] * (n + 1), sum(mult), memo, 1, sep)
 
 
-def _walk(cap, unit, stack, placed, rest, memo, lead):
+def _walk(cap, unit, stack, placed, rest, memo, lead, sep=None):
     """The completions in lex order of the state (stack, placed), which
     has rest letters to go: the search of enumerate_qs, run below it.
     With a memo it stops at two fresh values too; a text completion
-    drops the first lead characters of its first piece."""
+    drops the first lead characters of its first piece. Given sep, a
+    text walk yields all the words of a memo state as one string, the
+    words joined by sep."""
     n = len(cap) - 1
     ints = type(unit[0]) is tuple
     low = 1 if memo is None else 2
@@ -302,7 +307,10 @@ def _walk(cap, unit, stack, placed, rest, memo, lead):
                 continue
             head = tuple(word) if ints else "".join(word)[lead:]
             if fresh == 2:
-                yield from map(head.__add__, group)
+                if sep is None:
+                    yield from map(head.__add__, group)
+                else:
+                    yield head + (sep + head).join(group)
             else:
                 f = placed.index(0, 1)
                 tail = head[:0]

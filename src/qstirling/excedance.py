@@ -121,10 +121,7 @@ def from_path_cycle(rep):
     missing or repeated, a path ending inside the domain, interior path
     or cycle elements outside it.
     """
-    message = "path and cycle elements must be integers"
-    _expect(rep, PathCycleRep, "the path-cycle form")
-    paths = [_integers(p, message) for p in rep.paths]
-    cycles = [_integers(c, message) for c in rep.cycles]
+    paths, cycles = _int_groups(rep)
     if not paths:
         raise ValueError("at least one path is required")
     if any(not p for p in paths) or any(not c for c in cycles):
@@ -151,9 +148,22 @@ def from_path_cycle(rep):
 
 
 def render_path_cycle(rep):
+    paths, cycles = _int_groups(rep)
+    text = "".join("<%s>" % word_to_text(p) for p in paths)
+    return text + "".join("(%s)" % word_to_text(c) for c in cycles)
+
+
+def _int_groups(rep):
+    """The paths and the cycles of the path-cycle form, each a list of
+    tuples of ints; any other content is a ValueError."""
     _expect(rep, PathCycleRep, "the path-cycle form")
-    paths = "".join("<%s>" % word_to_text(p) for p in rep.paths)
-    return paths + "".join("(%s)" % word_to_text(c) for c in rep.cycles)
+    message = "path and cycle elements must be integers"
+    try:
+        return [[_integers(g, message) for g in field] for field in rep]
+    except TypeError:  # a field that is no sequence
+        raise ValueError(
+            "paths and cycles must be sequences of sequences, got %r" % (rep,)
+        ) from None
 
 
 def parse_path_cycle(text):

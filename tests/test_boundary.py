@@ -8,6 +8,8 @@ import qstirling as q
 NOT_A_TREE = "not a tree"
 NOT_AN_INJECTION = "the injection must be a PartialInj"
 NOT_A_PATH_CYCLE = "the path-cycle form must be a PathCycleRep"
+NOT_SEQUENCES = "paths and cycles must be sequences of sequences"
+NOT_INTEGERS = "path and cycle elements must be integers"
 MALFORMED_TREES = [(0, 5), (0, ((1, None),)), 0]
 
 # (function, arguments, start of the message)
@@ -19,6 +21,16 @@ CASES = [
     (q.delta_inv, ("3:1",), NOT_AN_INJECTION),
     (q.from_path_cycle, (((1, 2),),), NOT_A_PATH_CYCLE),
     (q.render_path_cycle, (((1,),),), NOT_A_PATH_CYCLE),
+    # a PathCycleRep whose fields are no sequences of integer sequences:
+    # a field that is no sequence, or a path or cycle that is none
+    (q.from_path_cycle, (q.PathCycleRep(5, ()),), NOT_SEQUENCES),
+    (q.from_path_cycle, (q.PathCycleRep((5,), ()),), NOT_INTEGERS),
+    (q.from_path_cycle, (q.PathCycleRep(((1, 2),), 5),), NOT_SEQUENCES),
+    (q.render_path_cycle, (q.PathCycleRep(5, ()),), NOT_SEQUENCES),
+    (q.render_path_cycle, (q.PathCycleRep((5,), ()),), NOT_INTEGERS),
+    (q.render_path_cycle, (q.PathCycleRep(((1, 2),), (5,)),), NOT_INTEGERS),
+    (q.render_path_cycle, (q.PathCycleRep(((1, "a"),), ()),), NOT_INTEGERS),
+    (q.render_path_cycle, (q.PathCycleRep(((2,),), ((1.0,),)),), NOT_INTEGERS),
     *[
         (fn, (t, *rest), NOT_A_TREE)
         for t in MALFORMED_TREES

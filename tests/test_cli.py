@@ -82,6 +82,41 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
     lines = "".join(writes).split("\n")
     words = islice(core.enumerate_qs((1,) * 9 + (20,)), len(lines))
     assert lines == [core.word_to_text(w) for w in words]
+    # (300,1,1,9,1,1): a line takes 626 characters, and the search hands
+    # over the words of a memo state as one chunk of up to 56 KB, more
+    # than a block; the writes are still cut at the same offsets, the
+    # first after per_block words and each later one per_block lines on,
+    # and the reader takes four writes and goes
+    mult = (300, 1, 1, 9, 1, 1)
+    kernel = core._enumerate_qs
+    sizes = []
+
+    def chunks(*args):
+        for chunk in kernel(*args):
+            sizes.append(len(chunk))
+            yield chunk
+
+    def write(text):
+        writes.append(text)
+        if len(writes) == 4:
+            raise BrokenPipeError
+
+    for fmt, lead, sep in (("lines", "", "\n"), ("json", '["', '", "')):
+        line = 2 * sum(mult) - 1 + len(sep)
+        per_block = (1 << 15) // line + 1
+        writes, sizes[:] = [], []
+        monkeypatch.setattr(core, "_enumerate_qs", chunks)
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+        assert cli.run(["enumerate", "--mult", "300,1,1,9,1,1", "--format", fmt]) == 3
+        monkeypatch.undo()
+        assert len(writes) == 4 and max(sizes) > 1 << 15
+        assert len(writes[0]) == per_block * line - len(sep) + len(lead)
+        assert all(len(w) == per_block * line for w in writes[1:])
+        stream = "".join(writes)
+        assert stream.startswith(lead)
+        lines = stream[len(lead) :].split(sep)
+        words = islice(core.enumerate_qs(mult), len(lines))
+        assert lines == [core.word_to_text(w) for w in words]
 
 
 def test_stats_word(capsys):

@@ -239,6 +239,33 @@ def test_text_kernel_spells_the_tuple_words():
         assert list(core._enumerate_qs(mult, unit)) == want, mult
 
 
+@pytest.mark.parametrize("sep", ["\n", '", "'])
+def test_text_chunks_are_the_words_joined(monkeypatch, sep):
+    # given a separator, the text search yields the words of each memo
+    # state as one chunk: joined by it, the chunks are the words joined
+    # by it, in pieces of unequal widths. Only a memo family has fewer
+    # chunks than words
+    def chunks_and_words(mult, limit=None):
+        unit = ["," + "x" * v for v in range(len(mult) + 1)]
+        chunks = list(islice(core._enumerate_qs(mult, unit, sep), limit))
+        text = sep.join(chunks)
+        words = list(islice(core._enumerate_qs(mult, unit), text.count(sep) + 1))
+        assert text == sep.join(words), mult
+        return len(chunks), len(words)
+
+    for mult in sweeps.all_mults(7) + [(1, 3, 1, 1, 3, 2)]:
+        chunks, words = chunks_and_words(mult)
+        assert words == q.qs_count(mult)
+        assert (chunks < words) == (len(mult) >= core._MEMO_VALUES), mult
+    # the first chunks of a family whose memo keys are tuples
+    chunks, words = chunks_and_words((300, 1, 1, 1, 1, 2), 2000)
+    assert chunks == 2000 < words
+    # a memo that empties itself many times over
+    monkeypatch.setattr(core, "_MEMO_LETTERS", 300)
+    chunks, words = chunks_and_words((2,) * 6)
+    assert chunks < words == q.qs_count((2,) * 6)
+
+
 @pytest.mark.parametrize("mult, memo", [((2, 1, 3, 1, 2), False), ((1, 2, 1, 2, 1, 2), True)])
 def test_enumeration_on_each_side_of_the_memo(monkeypatch, mult, memo):
     # the memo serves families of _MEMO_VALUES values or more: one case
