@@ -28,15 +28,14 @@ sequences into a single word.
 
 from itertools import combinations_with_replacement, permutations
 
-from .core import MultisetSpec, _as_spec, _integers, _numbers, is_quasi_stirling
-from .core import _expect, stats, word_spec, word_to_text
+from .core import MultisetSpec, _as_spec, _expect, _flat_word, _integers, _numbers
+from .core import _read_word, is_quasi_stirling, stats, word_to_text
 from .trees import infer_spec
 
 
 def _checked_word(w):
     # the kernels tell labels by class, so they get the ints read here
-    w = _integers(w, "word values must be integers")
-    spec = word_spec(w)
+    w, spec = _read_word(w)
     if not is_quasi_stirling(w):
         raise ValueError("word is not quasi-Stirling")
     return w, spec
@@ -323,28 +322,6 @@ def transport(w, target):
 # words over {1^m, 2, ..., n}
 
 
-def _flat_word_params(w, top=False):
-    """(m, n) for a word over {1^m, 2, ..., n}, or with top=True over
-    {1, ..., n-1, n^m}; raises ValueError for any other word.
-
-    Such a word is always quasi-Stirling: a crossing a b a b needs two
-    distinct values that each repeat.
-    """
-    spec = word_spec(w)
-    n = spec.n
-    if n == 0:
-        raise ValueError("empty word")
-    if top:
-        m = spec.mult[-1]
-        if spec.mult != (1,) * (n - 1) + (m,):
-            raise ValueError("only the largest value may repeat in this word")
-    else:
-        m = spec.mult[0]
-        if spec.mult != (m,) + (1,) * (n - 1):
-            raise ValueError("only the value 1 may repeat in this word")
-    return m, n
-
-
 def _split_at_ones(w):
     """The stretches of w before, between and after its copies of 1."""
     parts = []
@@ -365,8 +342,7 @@ def max_descent_decompose(w):
     b_i are strictly decreasing (possibly empty) and jointly cover the
     values 2..n. Returns the m blocks.
     """
-    w = tuple(w)
-    m, n = _flat_word_params(w)
+    w, m, n = _flat_word(w)
     des = stats(w).des
     if des != n:
         raise ValueError("word has %d descents, the maximum %d is required" % (des, n))
@@ -387,7 +363,11 @@ def check_perm_tuple(parts, anchored=False):
     """Return the parts as tuples of ints, or raise ValueError unless they
     are disjoint sequences of distinct values jointly covering 1..n; with
     anchored=True, value 1 must additionally sit in the first part."""
-    parts = tuple(_integers(p, "parts must be sequences of integers") for p in parts)
+    message = "parts must be sequences of integers"
+    try:
+        parts = tuple(_integers(p, message) for p in parts)
+    except TypeError:  # parts is no sequence
+        raise ValueError(message) from None
     seen = []
     for part in parts:
         seen.extend(part)
@@ -464,7 +444,6 @@ def zeta_inv(w):
     text before the first 1 and after the last 1 rejoin around a 1 as
     the first part, the stretches between consecutive 1s become the
     remaining parts in order."""
-    w = tuple(w)
-    _flat_word_params(w)
+    w, _, _ = _flat_word(w)
     head, *middle, tail = _split_at_ones(w)
     return (head + (1,) + tail, *middle)

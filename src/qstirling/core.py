@@ -18,6 +18,7 @@ recognizer below checks with a stack of open values.
 Everything in this module is a pure function on immutable data.
 """
 
+import sys
 from collections import Counter
 from math import perm
 from typing import Iterator, NamedTuple
@@ -127,9 +128,14 @@ def word_spec(word):
     Every multiset has all multiplicities >= 1, so each of 1..n must
     occur; a gap means the word belongs to no valid multiset.
     """
+    return _read_word(word)[1]
+
+
+def _read_word(word):
+    """The word as a tuple of ints and its MultisetSpec, read once."""
     word = _integers(word, "word values must be integers")
     if not word:
-        return MultisetSpec(())
+        return word, MultisetSpec(())
     if min(word) < 1:
         raise ValueError("word values must be positive")
     present = set(word)
@@ -140,7 +146,29 @@ def word_spec(word):
     counts = [0] * (len(present) + 1)
     for v in word:
         counts[v] += 1
-    return MultisetSpec(counts[1:])
+    return word, MultisetSpec(counts[1:])
+
+
+def _flat_word(word, top=False):
+    """(word as ints, m, n) for a word over {1^m, 2, ..., n}, or with
+    top=True over {1, ..., n-1, n^m}; raises ValueError for any other word.
+
+    Such a word is always quasi-Stirling: a crossing a b a b needs two
+    distinct values that each repeat.
+    """
+    word, spec = _read_word(word)
+    n = spec.n
+    if n == 0:
+        raise ValueError("empty word")
+    if top:
+        m = spec.mult[-1]
+        if spec.mult != (1,) * (n - 1) + (m,):
+            raise ValueError("only the largest value may repeat in this word")
+    else:
+        m = spec.mult[0]
+        if spec.mult != (m,) + (1,) * (n - 1):
+            raise ValueError("only the value 1 may repeat in this word")
+    return word, m, n
 
 
 def stats(word) -> StatTriple:
@@ -258,16 +286,25 @@ _GROUP_LETTERS = 1 << 10
 _MEMO_LETTERS = 1 << 16
 
 
+def _indexable(K):
+    """K, if a word or tree of K letters can be indexed: past sys.maxsize
+    an enumerator refuses the family with a ValueError at the call."""
+    if K > sys.maxsize:
+        raise ValueError("K = %d is too large to enumerate" % K)
+    return K
+
+
 def _enumerate_qs(mult, unit=None, sep=None):
     n = len(mult)
+    K = _indexable(sum(mult))
     ints = unit is None
     unit = [(v,) for v in range(n + 1)] if ints else unit
     if n < 2:
-        word = unit[n] * sum(mult)  # n = 0: the empty word, whatever the piece
+        word = unit[n] * K  # n = 0: the empty word, whatever the piece
         return iter([word if ints else word[1:]])
     cap = (0,) + mult
     memo = _Memo(cap, unit) if n >= _MEMO_VALUES else None
-    return _walk(cap, unit, [], [0] * (n + 1), sum(mult), memo, 1, sep)
+    return _walk(cap, unit, [], [0] * (n + 1), K, memo, 1, sep)
 
 
 def _walk(cap, unit, stack, placed, rest, memo, lead, sep=None):
@@ -420,7 +457,9 @@ def _complement(word, n):
 
 def complement(word, n):
     """Replace every value i by n + 1 - i; swaps ascents with descents."""
-    n, *word = _integers((n, *word), "n and the word values must be integers")
+    message = "n and the word values must be integers"
+    (n,) = _integers((n,), message)
+    word = _integers(word, message)
     if any(not 1 <= v <= n for v in word):
         raise ValueError("word values must lie in 1..%d" % n)
     return _complement(word, n)

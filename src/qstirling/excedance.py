@@ -16,8 +16,7 @@ ascents respectively descents into excedances plus one.
 from itertools import permutations
 from typing import NamedTuple
 
-from .bijections import _flat_word_params
-from .core import _complement, _expect, _integers, _numbers, word_to_text
+from .core import _complement, _expect, _flat_word, _integers, _numbers, word_to_text
 
 
 class PartialInj:
@@ -198,8 +197,7 @@ def chi(w):
     segments are the cycles, already in normal form. Ascents of the
     word exceed excedances of the result by exactly one.
     """
-    w = tuple(w)
-    _, n = _flat_word_params(w, top=True)
+    w, _, n = _flat_word(w, top=True)
     return _chi(w, n)
 
 
@@ -241,8 +239,7 @@ def chi_inv(s):
 def delta(w):
     """Same recoding after complementing, for words whose only repeated
     value is 1; descents of the word exceed excedances by one."""
-    w = tuple(w)
-    _, n = _flat_word_params(w)
+    w, _, n = _flat_word(w)
     return _chi(_complement(w, n), n)
 
 

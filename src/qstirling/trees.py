@@ -23,7 +23,7 @@ zeros.
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
-from .core import MultisetSpec, _as_spec, _expect
+from .core import MultisetSpec, _as_spec, _expect, _indexable
 
 
 class TreeStats(NamedTuple):
@@ -245,7 +245,9 @@ def _trees(spec):
 
 def enumerate_trees(spec):
     """Iterate over every tree over `spec`, ordered by serialized form."""
-    return _sorted_trees(_as_spec(spec))
+    spec = _as_spec(spec)
+    _indexable(spec.K)
+    return _sorted_trees(spec)
 
 
 def _sorted_trees(spec):

@@ -30,16 +30,32 @@ def test_phi_inv_examples():
     assert q.validate_tree(t, q.MultisetSpec((1, 1, 2, 1, 3, 1, 2)))
 
 
-def test_word_maps_read_true_as_one():
-    # the kernels get the integers the maps read, not the letters given
-    for call in (
-        lambda one: q.phi_inv((2, one, 2)),
-        lambda one: q.big_phi((2, 2, one)),
-        lambda one: q.big_phi_inv((one, one, 2), (1, 2)),
-        lambda one: q.transport((2, 2, one), (1, 2)),
+WORD_MAPS = [
+    (q.phi_inv, (2, 1, 1, 2, 3), ()),
+    (q.big_phi, (2, 2, 1, 3, 3), ()),
+    (q.big_phi_inv, (1, 2, 1, 1), ((2, 2),)),
+    (q.transport, (2, 2, 1, 3, 3), ((1, 2, 2),)),
+    (q.chi, (1, 3, 2, 3), ()),
+    (q.delta, (2, 1, 3, 1), ()),
+    (q.zeta_inv, (2, 1, 3, 1), ()),
+    (q.max_descent_decompose, (2, 1, 3, 1), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, word, rest", WORD_MAPS, ids=[fn.__name__ for fn, _, _ in WORD_MAPS]
+)
+def test_word_maps_read_any_sequence_of_integers(fn, word, rest):
+    # each map reads its word once, through core._read_word, and its
+    # kernel gets those ints: a list, a generator, and True in place of
+    # 1 give what the tuple gives, down to the class of every label
+    expected = repr(fn(word, *rest))
+    for given in (
+        list(word),
+        (v for v in word),
+        tuple(True if v == 1 else v for v in word),
     ):
-        assert call(True) == call(1)
-    assert q.phi(q.phi_inv((True,))) == (1,)
+        assert repr(fn(given, *rest)) == expected
 
 
 def test_phi_rejects_invalid():

@@ -10,6 +10,9 @@ NOT_AN_INJECTION = "the injection must be a PartialInj"
 NOT_A_PATH_CYCLE = "the path-cycle form must be a PathCycleRep"
 NOT_SEQUENCES = "paths and cycles must be sequences of sequences"
 NOT_INTEGERS = "path and cycle elements must be integers"
+NOT_A_WORD = "word values must be integers"
+NOT_PARTS = "parts must be sequences of integers"
+TOO_LARGE = "K = 100000000000000000000 is too large to enumerate"
 MALFORMED_TREES = [(0, 5), (0, ((1, None),)), 0]
 
 # (function, arguments, start of the message)
@@ -42,6 +45,24 @@ CASES = [
             (q.big_psi, ()),
         ]
     ],
+    # a number where the word or the parts go
+    *[
+        (fn, (word,), message)
+        for word in (1.5, 5)
+        for fn, message in [
+            (q.chi, NOT_A_WORD),
+            (q.delta, NOT_A_WORD),
+            (q.zeta_inv, NOT_A_WORD),
+            (q.max_descent_decompose, NOT_A_WORD),
+            (q.check_perm_tuple, NOT_PARTS),
+            (q.zeta, NOT_PARTS),
+        ]
+    ],
+    (q.complement, (1.5, 3), "n and the word values must be integers"),
+    (q.complement, (5, 3), "n and the word values must be integers"),
+    # a family whose words could not be indexed
+    (q.enumerate_qs, ((10**20,),), TOO_LARGE),
+    (q.enumerate_trees, ((10**20,),), TOO_LARGE),
     (q.word_from_text, (5,), "word text must be a str"),
     (q.word_from_text, (b"1,2",), "word text must be a str"),
     (q.MultisetSpec.from_text, (5,), "multiplicity list must be a str"),

@@ -1,7 +1,8 @@
 """The demos run, the README's command-line examples print what the
 README says they print, the test oracles import nothing from the
-package, no parser but core._numbers runs int(), and every name the
-benchmark tracer wraps exists."""
+package, no parser but core._numbers runs int(), excedance imports
+nothing from bijections, and every name the benchmark tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -57,15 +58,20 @@ def test_readme_cli_examples(capsys):
         assert (code, out) == (0, expected), argv
 
 
-def test_oracles_stay_independent_of_the_package():
-    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+def imported_names(path):
+    """Every module and name the file at path imports."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
             imported.extend(alias.name for alias in node.names)
+    return imported
+
+
+def test_oracles_stay_independent_of_the_package():
+    imported = imported_names(ROOT / "tests" / "oracles.py")
     assert imported  # the walk saw the imports
     assert not [name for name in imported if "qstirling" in name.split(".")]
 
@@ -109,6 +115,14 @@ def test_only_the_number_reader_runs_int():
                     found.add(owner)
             stack.extend((child, owner) for child in ast.iter_child_nodes(node))
     assert found == allowed
+
+
+def test_excedance_imports_nothing_from_bijections():
+    # chi and delta read their words through core._flat_word, so the
+    # excedance maps depend on core alone, not on the tree/word maps
+    imported = imported_names(ROOT / "src" / "qstirling" / "excedance.py")
+    assert "core" in imported  # the walk saw the imports
+    assert not [name for name in imported if "bijections" in name.split(".")]
 
 
 def test_benchmark_trace_targets_exist():
