@@ -29,7 +29,7 @@ sequences into a single word.
 from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, _as_spec, _expect, _flat_word, _integers, _numbers
-from .core import _read_word, is_quasi_stirling, stats, word_to_text
+from .core import _indexable, _read_word, is_quasi_stirling, stats, word_to_text
 from .trees import infer_spec
 
 
@@ -400,6 +400,7 @@ def enumerate_perm_tuples(m, n, anchored=False):
         raise ValueError("need at least one slot")
     if n < 0:
         raise ValueError("need n >= 0 values, got %d" % n)
+    _indexable(m + n - 1)  # the letters of the word zeta folds a tuple into
     return _perm_tuples(m, n, anchored)
 
 

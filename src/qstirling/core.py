@@ -93,7 +93,8 @@ def _expect(obj, cls, what):
 
 def _numbers(text, what, whole=None, strip=False):
     """The comma-separated integers in text, () if it is empty. Every
-    number the program reads as text comes through here. int() alone
+    number the program reads as text comes through here, but for tree
+    labels: trees._parse_label reads a run of ASCII digits. int() alone
     would also read a digit of another script ('\u0663' is 3), a '_'
     ('1_0' is 10) and a '+' sign, so any of these is a ValueError naming
     whole, the text the numbers came from. strip=True strips the text

@@ -16,15 +16,17 @@ ascents respectively descents into excedances plus one.
 from itertools import permutations
 from typing import NamedTuple
 
-from .core import _complement, _expect, _flat_word, _integers, _numbers, word_to_text
+from .core import _complement, _expect, _flat_word, _indexable, _integers, _numbers
+from .core import word_to_text
 
 
 class PartialInj:
     __slots__ = ("n", "values")
 
     def __init__(self, n, values):
-        n, *values = _integers((n, *values), "n and the values must be integers")
-        values = tuple(values)
+        message = "n and the values must be integers"
+        (n,) = _integers((n,), message)
+        values = _integers(values, message)
         if n < 1:
             raise ValueError("codomain size must be positive")
         if len(values) >= n:
@@ -250,8 +252,10 @@ def delta_inv(s):
 
 def enumerate_J(n, r):
     """All injections with domain {1..n-r} and codomain 1..n, in
-    lexicographic order of their value sequences; there are n!/r!."""
+    lexicographic order of their value sequences; there are n!/r!. An
+    n past sys.maxsize is a ValueError at the call, as in enumerate_qs."""
     n, r = _integers((n, r), "n and r must be integers")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
+    _indexable(n)
     return (PartialInj(n, values) for values in permutations(range(1, n + 1), n - r))

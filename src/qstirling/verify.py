@@ -8,14 +8,18 @@ series order. `sweep_domain` gives the domain every check sweeps under
 a size bound, and `verify_suite` runs all of them over it.
 
 The bijection checks thm22 (phi), thm23 (psi), thm11 (big_phi) and zeta
-share one loop: each image must lie in the target family, tested before
-any other kernel runs on it, keep the statistics and map back to its
-source, and the images must cover the family. thm22, thm23 and thm11
-run the kernels on the trees and words they enumerate, which are valid
-by construction, not the public maps, which would validate them again.
-thm23 and thm11 both check `_transport` between word families: thm23
-one psi step at a time, thm11 the whole flattening schedule. psi on
-trees is phi_inv after that step after phi, so thm22 covers the rest.
+share one loop, `_check_bijection`: each image must lie in the target
+family, tested before any other kernel runs on it, keep the statistics
+and map back to its source, and the images must cover the family.
+thm22, thm23 and thm11 run the kernels on the trees and words they
+enumerate, which are valid by construction, not the public maps, which
+would validate them again. thm23 and thm11 both check `_transport`
+between word families: thm23 one psi step at a time, thm11 the whole
+flattening schedule. psi on trees is phi_inv after that step after phi,
+so thm22 covers the rest. thm13, coro14, coro15, eq2, eq5 and eq7 share
+`_check_agree`: the sides of each case must be equal. Only thm12, which
+compares each multiset with the first of its (n, K) class, and eq4,
+which checks two identities per injection, loop on their own.
 """
 
 from collections import Counter
@@ -30,11 +34,10 @@ DEFAULT_ORDER = 8
 
 def compositions(total, parts):
     """The ordered sequences of `parts` positive integers summing to
-    `total` >= 1, in lex order: each is read off its parts - 1 cut
-    points in 1..total-1, taken in lex order."""
-    for inner in combinations(range(1, total), parts - 1):
-        bounds = (0, *inner, total)
-        yield tuple(map(sub, bounds[1:], bounds))
+    `total` >= 1, in lex order, read off their parts - 1 cut points in
+    1..total-1; a total past sys.maxsize is a ValueError at the call."""
+    cuts = combinations(range(1, core._indexable(total)), parts - 1)
+    return (tuple(map(sub, (*inner, total), (0, *inner))) for inner in cuts)
 
 
 def sweep_domain(name, max_K):
@@ -80,6 +83,19 @@ def _check_bijection(name, sources, forward, inverse, family, same_stats, tag, o
         images.add(y)
     if images != family:
         failures.append("%s image over %s is not the whole family" % (name, over))
+    return cases, failures
+
+
+def _check_agree(items, sides, message):
+    """(cases, failures) for the claim that, per item x, the values in
+    sides(x) are all equal; message(x, values) names x where they differ."""
+    cases = 0
+    failures = []
+    for x in items:
+        cases += 1
+        values = sides(x)
+        if any(v != values[0] for v in values):
+            failures.append(message(x, values))
     return cases, failures
 
 
@@ -184,81 +200,83 @@ def thm12(specs):
 
 def thm13(specs):
     """Words with des = d+1 match injections with exc = d."""
-    failures = []
-    for spec in specs:
-        des_hist = Counter(core.stats(w).des for w in core.enumerate_qs(spec))
-        exc_hist = Counter(
-            excedance.exc(s)
-            for s in excedance.enumerate_J(spec.K, spec.K - spec.n + 1)
-        )
-        if des_hist != Counter({d + 1: c for d, c in exc_hist.items()}):
-            failures.append("histograms differ over %s" % spec.to_text())
-    return len(specs), failures
+    return _check_agree(
+        specs,
+        lambda spec: (
+            Counter(core.stats(w).des - 1 for w in core.enumerate_qs(spec)),
+            Counter(
+                map(excedance.exc, excedance.enumerate_J(spec.K, spec.K - spec.n + 1))
+            ),
+        ),
+        lambda spec, _: "histograms differ over %s" % spec.to_text(),
+    )
+
+
+def _coro14_counts(spec):
+    """The closed-form and the brute-force count of the words over
+    `spec` with the maximum descent number n."""
+    expected = genfun.max_descent_count(spec)
+    return expected, sum(core.stats(w).des == spec.n for w in core.enumerate_qs(spec))
+
+
+def _coro14_failure(spec, counts):
+    return "count over %s: expected %d, got %d" % (spec.to_text(), *counts)
 
 
 def max_descent_check(spec):
-    """Coro 14 over one multiset: (closed-form, brute-force, failures)
-    for the count of words over `spec` with the maximum descent number n."""
-    expected = genfun.max_descent_count(spec)
-    got = sum(1 for w in core.enumerate_qs(spec) if core.stats(w).des == spec.n)
-    failures = []
-    if got != expected:
-        failures.append(
-            "count over %s: expected %d, got %d" % (spec.to_text(), expected, got)
-        )
-    return expected, got, failures
+    """Coro 14 over one multiset: (closed-form, brute-force, failures),
+    the failures as `coro14` reports them."""
+    counts = _coro14_counts(spec)
+    return (*counts, _check_agree([spec], lambda _: counts, _coro14_failure)[1])
 
 
 def coro14(specs):
     """Closed count of maximally descending words vs brute force."""
-    failures = []
-    for spec in specs:
-        failures += max_descent_check(spec)[2]
-    return len(specs), failures
+    return _check_agree(specs, _coro14_counts, _coro14_failure)
 
 
 def coro15(specs):
     """Series coefficient extraction equals the brute-force polynomial."""
-    failures = [
-        "polynomials differ over %s" % spec.to_text()
-        for spec in specs
-        if genfun.qs_polynomial_from_series(spec) != core.qs_polynomial(spec)
-    ]
-    return len(specs), failures
+    return _check_agree(
+        specs,
+        lambda spec: (genfun.qs_polynomial_from_series(spec), core.qs_polynomial(spec)),
+        lambda spec, _: "polynomials differ over %s" % spec.to_text(),
+    )
 
 
 def eq2(specs, order):
     """Closed-form and convolved descent series coefficients agree."""
-    failures = []
-    for spec in specs:
-        lhs, rhs = genfun.descent_series_coefficients(spec, order)
-        if lhs != rhs:
-            failures.append("series sides differ over %s" % spec.to_text())
-    return len(specs), failures
+    return _check_agree(
+        specs,
+        lambda spec: genfun.descent_series_coefficients(spec, order),
+        lambda spec, _: "series sides differ over %s" % spec.to_text(),
+    )
 
 
 def eq5(pairs):
     """Unanchored tuple polynomial: brute force vs extraction."""
-    failures = [
-        "tuple polynomial differs at m=%d, n=%d" % (m, n)
-        for m, n in pairs
-        if genfun.perm_tuple_polynomial(m, n)
-        != genfun.perm_tuple_polynomial_formula(m, n)
-    ]
-    return len(pairs), failures
+    return _check_agree(
+        pairs,
+        lambda mn: (
+            genfun.perm_tuple_polynomial(*mn),
+            genfun.perm_tuple_polynomial_formula(*mn),
+        ),
+        lambda mn, _: "tuple polynomial differs at m=%d, n=%d" % tuple(mn),
+    )
 
 
 def eq7(pairs):
     """Anchored tuple polynomial: brute force, extraction, and the word
     polynomial of the flattened multiset all agree."""
-    failures = []
-    for m, n in pairs:
-        brute = genfun.perm_tuple_polynomial(m, n, anchored=True)
-        formula = genfun.perm_tuple_polynomial_formula(m, n, anchored=True)
-        words = core.qs_polynomial(core.MultisetSpec((m,) + (1,) * (n - 1)))
-        if brute != formula or brute != words:
-            failures.append("anchored polynomial differs at m=%d, n=%d" % (m, n))
-    return len(pairs), failures
+    return _check_agree(
+        pairs,
+        lambda mn: (
+            genfun.perm_tuple_polynomial(*mn, anchored=True),
+            genfun.perm_tuple_polynomial_formula(*mn, anchored=True),
+            core.qs_polynomial(core.MultisetSpec((mn[0],) + (1,) * (mn[1] - 1))),
+        ),
+        lambda mn, _: "anchored polynomial differs at m=%d, n=%d" % tuple(mn),
+    )
 
 
 def zeta(pairs):

@@ -59,10 +59,13 @@ CASES = [
         ]
     ],
     (q.complement, (1.5, 3), "n and the word values must be integers"),
+    (q.PartialInj, (3, 1.5), "n and the values must be integers"),
     (q.complement, (5, 3), "n and the word values must be integers"),
     # a family whose words could not be indexed
     (q.enumerate_qs, ((10**20,),), TOO_LARGE),
     (q.enumerate_trees, ((10**20,),), TOO_LARGE),
+    (q.enumerate_J, (10**20, 1), TOO_LARGE),
+    (q.enumerate_perm_tuples, (1, 10**20), TOO_LARGE),
     (q.word_from_text, (5,), "word text must be a str"),
     (q.word_from_text, (b"1,2",), "word text must be a str"),
     (q.MultisetSpec.from_text, (5,), "multiplicity list must be a str"),

@@ -560,7 +560,7 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         cases.append(("map", "--which", which, "--perm", "99999999999999999999"))
     # a family too large to index is refused before it is enumerated
     cases.append(("enumerate", "--mult", "99999999999999999999"))
-    for check in ("thm22", "thm23", "thm11", "thm13", "coro14", "coro15", "eq2"):
+    for check in verify.CHECKS:
         cases.append(("verify", "--check", check, "--mult", "2,99999999999999999999"))
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

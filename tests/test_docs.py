@@ -1,8 +1,8 @@
 """The demos run, the README's command-line examples print what the
 README says they print, the test oracles import nothing from the
-package, no parser but core._numbers runs int(), excedance imports
-nothing from bijections, and every name the benchmark tracer wraps
-exists."""
+package, no parser but core._numbers runs int(), every check but thm12
+and eq4 runs one of verify's shared loops, excedance imports nothing
+from bijections, and every name the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -115,6 +115,32 @@ def test_only_the_number_reader_runs_int():
                     found.add(owner)
             stack.extend((child, owner) for child in ast.iter_child_nodes(node))
     assert found == allowed
+
+
+def test_every_check_but_two_runs_a_shared_loop():
+    # thm12 compares each multiset with the first of its (n, K) class and
+    # eq4 checks two identities per injection; every other check calls
+    # one of the shared loops, so a new hand-written loop fails here
+    loops = {"_check_bijection", "_check_agree", "_shift_check"}
+    tree = ast.parse((ROOT / "src" / "qstirling" / "verify.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checks = [
+        value.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] in (["CHECKS"], ["SUITE_EXTRAS"])
+        for value in node.value.values
+    ]
+    assert len(checks) == 12  # the walk found both tables
+
+    def called(name):
+        return {
+            getattr(node.func, "id", None)
+            for node in ast.walk(defs[name])
+            if isinstance(node, ast.Call)
+        }
+
+    assert {name for name in checks if not called(name) & loops} == {"thm12", "eq4"}
 
 
 def test_excedance_imports_nothing_from_bijections():

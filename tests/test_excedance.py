@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import qstirling as q
+from qstirling import verify
 import oracles
 import sweeps
 
@@ -203,19 +204,30 @@ def test_one_repeated_value_is_always_quasi_stirling():
                 assert all(map(oracles.quartic_quasi_stirling, words))
 
 
+def _recoding_check(name, forward, inverse, stat, mult, m):
+    """verify's bijection loop over `forward` from the words over mult
+    onto J_{K,m}, the word's `stat` being the excedances plus one."""
+    K = sum(mult)
+    return verify._check_bijection(
+        name,
+        sweeps.qs_words(mult),
+        forward,
+        inverse,
+        set(q.enumerate_J(K, m)),
+        lambda w, s: getattr(q.stats(w), stat) == q.exc(s) + 1,
+        q.word_to_text,
+        "J_{%d,%d}" % (K, m),
+    )
+
+
 def test_chi_bijection_with_ascents():
     for n in range(1, 8):
         for m in range(1, 9 - n):
             mult = (1,) * (n - 1) + (m,)
-            images = set()
-            for w in sweeps.qs_words(mult):
-                s = q.chi(w)
-                assert s.n == n + m - 1
-                assert s.r == m
-                assert q.stats(w).asc == q.exc(s) + 1
-                assert q.chi_inv(s) == w
-                images.add(s)
-            assert images == set(q.enumerate_J(n + m - 1, m))
+            assert _recoding_check("chi", q.chi, q.chi_inv, "asc", mult, m) == (
+                factorial(n + m - 1) // factorial(m),
+                [],
+            )
 
 
 # -- delta -------------------------------------------------------------
@@ -241,13 +253,10 @@ def test_delta_bijection_with_descents():
     for n in range(1, 8):
         for m in range(1, 9 - n):
             mult = (m,) + (1,) * (n - 1)
-            images = set()
-            for w in sweeps.qs_words(mult):
-                s = q.delta(w)
-                assert q.stats(w).des == q.exc(s) + 1
-                assert q.delta_inv(s) == w
-                images.add(s)
-            assert images == set(q.enumerate_J(n + m - 1, m))
+            assert _recoding_check("delta", q.delta, q.delta_inv, "des", mult, m) == (
+                factorial(n + m - 1) // factorial(m),
+                [],
+            )
 
 
 def test_descent_histogram_matches_excedances_small():
