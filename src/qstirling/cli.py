@@ -17,9 +17,9 @@ import functools
 import json
 import signal
 import sys
-from itertools import islice
 
 from . import bijections, core, excedance, genfun, trees, verify
+from .exactpoly import _decimal
 
 _DEFAULT_MAX_K = 5
 # the maps other than transport:<mult> that read --perm alone
@@ -50,11 +50,16 @@ def _parse_inj(text):
 
 
 def _emit(args, payload, line):
-    """Print the payload as JSON, or the line as text, per --format."""
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(line)
+    """Print the payload as JSON, or the line as text, per --format. An
+    int past the digit limit of str() is written in full all the same."""
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.format == "json" else line)
+    except ValueError:  # str() refuses such an int: write its digits
+        if args.format == "json":  # a top-level int field, unquoted
+            ints = {k: "\0%s\0" % _decimal(v) for k, v in payload.items() if type(v) is int}
+            line = json.dumps({**payload, **ints}, sort_keys=True)
+            line = line.replace('"\\u0000', "").replace('\\u0000"', "")
+        print(_decimal(line) if type(line) is int else line)
 
 
 def _verdict_line(ok, name, cases):
@@ -64,12 +69,13 @@ def _verdict_line(ok, name, cases):
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     # the search writes each letter as ",v", so a word is its text, and
-    # yields the words of a memo state as one chunk, joined by sep; both
-    # formats are the stream lead + sep.join(chunks) + end, written in
-    # blocks of per_block lines, 32 KB and at most one line more. Every
-    # word is a permutation of the one multiset, so every line has the
-    # same width and the blocks are cut at fixed offsets of the stream:
-    # the first after per_block words, each later one per_block lines on
+    # yields the words in chunks of at most 8 KB or two words, joined by
+    # sep; both formats are the stream lead + sep.join(chunks) + end,
+    # written in blocks of per_block lines, 32 KB and at most one line
+    # more. Every word is a permutation of the one multiset, so every
+    # line has the same width and the blocks are cut at fixed offsets of
+    # the stream: the first after per_block words, each later one
+    # per_block lines on
     unit = [",%d" % v for v in range(spec.n + 1)]
     if args.format == "json":
         lead, sep, end = '["', '", "', '"]\n'
@@ -80,11 +86,6 @@ def _cmd_enumerate(args):
     per_block = (1 << 15) // line + 1
     block = per_block * line
     cut = block - len(sep) + len(lead)
-    # below core._MEMO_VALUES values every chunk is one word, so the
-    # chunks that reach the next cut make exactly one block; above, a
-    # chunk holds up to 90 lines, and a batch of chunks keeps the
-    # text within a few blocks
-    batch = per_block if spec.n < core._MEMO_VALUES else per_block // 16 + 1
     text = lead + next(chunks)  # each later chunk follows a sep
     while True:
         at = 0
@@ -92,13 +93,18 @@ def _cmd_enumerate(args):
             sys.stdout.write(text[at : at + cut])
             at += cut
             cut = block
-        # the rest is whole lines short of the cut: take as many chunks as
-        # reach it if each is one line, at most a batch
-        text = text[at:]
-        parts = [text, *islice(chunks, min(batch, (cut - len(text)) // line))]
+        # the rest is whole lines short of the cut: take chunks until
+        # they reach it, so the text stays within a block and a chunk
+        parts = [text[at:]]
+        size = len(parts[0])
+        for chunk in chunks:
+            parts.append(chunk)
+            size += len(sep) + len(chunk)
+            if size >= cut:
+                break
+        text = sep.join(parts)
         if len(parts) == 1:
             break
-        text = sep.join(parts)
     if text:
         sys.stdout.write(text)
     sys.stdout.write(end)
@@ -176,7 +182,7 @@ def _cmd_map(args):
     elif which in ("chi", "delta"):
         w = core.word_from_text(_require(args.perm, "--perm"))
         fn = excedance.chi if which == "chi" else excedance.delta
-        out = excedance.render_path_cycle(excedance.to_path_cycle(fn(w)))
+        out = excedance._render_groups(*excedance.to_path_cycle(fn(w)))
     elif which in ("chi-inv", "delta-inv"):
         s = _parse_inj(_require(args.perm, "--perm"))
         fn = excedance.chi_inv if which == "chi-inv" else excedance.delta_inv

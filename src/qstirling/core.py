@@ -20,7 +20,9 @@ Everything in this module is a pure function on immutable data.
 
 import sys
 from collections import Counter
+from itertools import chain
 from math import perm
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .exactpoly import PolyTUV, _integers
@@ -104,7 +106,15 @@ def _numbers(text, what, whole=None, strip=False):
             body = text.strip() if strip else text
             return tuple(map(int, body.split(","))) if body else ()
     except ValueError:
-        pass
+        # int() refuses a number past sys.get_int_max_str_digits() digits
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        for number in body.split(","):
+            digits = number.strip().lstrip("-")
+            if limit and len(digits) > limit and digits.isdigit():
+                raise ValueError(
+                    "bad %s: a number of %d digits, past the limit of %d "
+                    "digits on integer text" % (what, len(digits), limit)
+                ) from None
     raise ValueError(
         "bad %s %r (numbers take ASCII digits only, no '_' or '+')"
         % (what, text if whole is None else whole)
@@ -237,54 +247,55 @@ def is_stirling(word) -> bool:
 def enumerate_qs(spec) -> Iterator[tuple]:
     """Iterate over the quasi-Stirling permutations of the multiset in lex order.
 
-    Backtracking with the open-value stack: a value may be placed only
-    when it is fresh or currently on top of the stack, which prunes
-    exactly the crossing patterns. Once a single value f is still fresh,
-    the rest is forced but for where f goes: the open values close from
-    the top down (the tail), with the block of all copies of f at some
-    position of the tail. So the search takes one step per letter until
-    a single value is fresh, then builds the letters placed so far (the
-    head) once and each word as the head + the tail cut at one place +
-    the block.
+    A search with the open-value stack: a value may be placed only when
+    it is fresh or currently on top of the stack, which prunes exactly
+    the crossing patterns. A state (the stack and the copies placed)
+    with rest letters to go and f fresh values holding C copies has
+    (rest - C + 1) * rest!/(rest - f + 1)! completions, one when f = 0.
+    The search places one letter at a time until they fit one chunk of
+    at most _CHUNK characters, or two words, and yields them in one
+    string, each after the letters placed so far.
 
-    With six distinct values or more, the search also stops one level
-    higher, at a state with two fresh values, and takes the state's
-    completions from a memo kept for the call. They depend only on the
-    open values with their remaining copies and on the two fresh values,
-    which key the memo, and such states repeat: the 55,440 words of
-    (1,3,1,1,3,2) need only 233 lists. A list is built once, by the same
-    walk, run below the state without the memo. Each word is then the
-    head + a completion, one concatenation per word. With fewer values
-    a state is reached by few heads, and building its list cost more
-    than walking below it ((4,4,4,4) took 1.3 times as long), so those
-    families keep the letter-by-letter search.
+    A state's completions are one string, joined by a marker, built from
+    those of the states one letter below it: the join, over each next
+    letter x in order, of x + that state's string with x put after each
+    marker, a few C calls per (state, letter) pair and not one step per
+    word. Once one value f is fresh, the rest is forced but for where the
+    block of its copies goes in the tail, the letters that close the
+    open values from the top down; the same join, run from the end of
+    the tail, spells such a state, as its next letter is the block,
+    which leaves one completion, or the tail's. A state of one fresh
+    value whose words do not fit a chunk hands them over one at a time,
+    so the words stream at any K.
 
-    Two size rules bound the memory. A state is taken from the memo only
-    if its completions hold at most 1,024 letters (the rule is stated at
-    _Memo.group); a larger state is walked letter by letter. The memo is
-    emptied when it holds 65,536 letters. No list holds more than 1,024
-    letters and each word is yielded as soon as it is made, so the words
-    stream at any family size.
+    A memo kept for the call holds the strings of the states with two
+    fresh values or more, keyed by the open values with their remaining
+    copies and the fresh values, which is all that the completions
+    depend on. The CLI writes the 55,440 words of (1,3,1,1,3,2) in 353
+    chunks, from 338 strings that the memo keeps. It keeps the strings of
+    at most _MEMO_SMALL characters, which their parents keep asking for,
+    and empties before it would hold _MEMO_CHARS characters.
 
-    The search writes a letter v as the piece unit[v]: (v,) here; the
-    CLI passes the text ",v", and the first piece of a word drops its
-    comma, so each word comes out as its text. The CLI also passes its
-    separator, and takes all the words of a memo state as one string,
-    the head + each completion joined by the separator in one call;
-    here each word is yielded on its own. It runs on explicit
-    stacks, keeping per depth the next value to try there, and the walk
-    that builds a list uses no memo, so at most two walks are live at
-    once and K is bounded by memory only.
+    Each letter v is written as the byte v, and zip cuts the words out
+    of the chunks; with more than 255 values, as the character v, read
+    back by ord, so that a family of 0x110000 values or more is refused
+    with a ValueError. The CLI passes the pieces ",v" and its separator
+    and writes the chunks as they come. The search runs on one explicit
+    stack, so K is bounded by memory only.
     """
     return _enumerate_qs(_as_spec(spec).mult)
 
 
-# The memo of _enumerate_qs serves families of at least _MEMO_VALUES
-# distinct values. _GROUP_LETTERS bounds the letters of one state's
-# completions, and the memo is emptied once it holds _MEMO_LETTERS
-_MEMO_VALUES = 6
-_GROUP_LETTERS = 1 << 10
-_MEMO_LETTERS = 1 << 16
+# _walk hands over its words in chunks of at most _CHUNK characters. Its
+# memo, a dict keyed by bytes while every value and count fits in one,
+# which the collector does not track, keeps the states of at most
+# _MEMO_SMALL characters, and empties before its strings and keys would
+# pass _MEMO_CHARS characters and items
+_CHUNK = 1 << 13
+_MEMO_SMALL = 1 << 11
+_MEMO_CHARS = 1 << 19
+_Memo = dict
+_BYTES = [bytes((v,)) for v in range(256)]  # the pieces of the tuple words
 
 
 def _indexable(K):
@@ -296,34 +307,48 @@ def _indexable(K):
 
 
 def _enumerate_qs(mult, unit=None, sep=None):
+    """The words of the family in lex order: tuples; given the text piece
+    unit[v] of each letter v, texts; given sep too, the chunks of _walk."""
     n = len(mult)
-    K = _indexable(sum(mult))
-    ints = unit is None
-    unit = [(v,) for v in range(n + 1)] if ints else unit
-    if n < 2:
-        word = unit[n] * K  # n = 0: the empty word, whatever the piece
-        return iter([word if ints else word[1:]])
-    cap = (0,) + mult
-    memo = _Memo(cap, unit) if n >= _MEMO_VALUES else None
-    return _walk(cap, unit, [], [0] * (n + 1), K, memo, 1, sep)
+    cap = (0, *mult)
+    K = _indexable(sum(cap))
+    if n < 2:  # one word; n = 0: the empty one
+        return iter([(1,) * K if unit is None else (unit[n] * K)[1:]])
+    if unit is not None:  # a text word drops the comma of its first piece
+        width = sum(map(mul, map(len, unit), cap)) - 1 + len(sep or "\0")
+        if sep is not None:
+            return _walk(cap, unit, sep, 1, width)
+        return chain.from_iterable(c.split("\0") for c in _walk(cap, unit, "\0", 1, width))
+    # each letter v is the byte v, or past 255 the character v, and zip
+    # cuts the words out of the letters
+    if n < 256:
+        letters = chain.from_iterable(_walk(cap, _BYTES, b"", 0, K))
+    elif n < 0x110000:
+        letters = map(ord, chain.from_iterable(_walk(cap, [*map(chr, range(n + 1))], "", 0, K)))
+    else:
+        raise ValueError("%d distinct values are too many to enumerate as tuples" % n)
+    return zip(*[letters] * K)
 
 
-def _walk(cap, unit, stack, placed, rest, memo, lead, sep=None):
-    """The completions in lex order of the state (stack, placed), which
-    has rest letters to go: the search of enumerate_qs, run below it.
-    With a memo it stops at two fresh values too; a text completion
-    drops the first lead characters of its first piece. Given sep, a
-    text walk yields all the words of a memo state as one string, the
-    words joined by sep."""
+def _walk(cap, unit, sep, lead, width):
+    """The words of the family with the counts cap[1:], n >= 2, in lex
+    order, each letter v written as the piece unit[v] (bytes or text),
+    in chunks of whole words joined by sep, each word width characters
+    with its sep: chunks of at most _CHUNK characters or two words, and
+    one word at a time where more do not fit. A word drops the first
+    lead characters of its first piece. Each depth keeps the next value
+    to try there and, below a state that makes one chunk, the strings
+    built so far for the state it builds."""
     n = len(cap) - 1
-    ints = type(unit[0]) is tuple
-    low = 1 if memo is None else 2
-    fresh = placed.count(0) - 1  # placed[0] stays 0
-    # word holds v, or its text piece, so that a head is one join
-    letters = list(range(n + 1)) if ints else unit
-    word = []
-    next_try = [1]
-    while next_try:
+    K = copies = sum(cap)  # copies of the fresh values
+    mark = "\0" if isinstance(sep, str) else b"\0"
+    empty = mark[:0]
+    most = max(2, _CHUNK // width)  # completions in one chunk
+    memo, held = _Memo(), 0
+    stack, placed = [], [0] * (n + 1)
+    fresh = n
+    word, next_try, parts, keys = [], [1], [None], []
+    while True:
         top = stack[-1] if stack else 0
         v = next_try[-1]
         while v <= n and placed[v] and v != top:
@@ -333,43 +358,71 @@ def _walk(cap, unit, stack, placed, rest, memo, lead, sep=None):
             if not placed[v]:
                 stack.append(v)
                 fresh -= 1
+                copies -= cap[v]
             placed[v] += 1
             if placed[v] == cap[v]:
                 stack.pop()
-            word.append(letters[v])
-            if fresh > low or (
-                fresh == 2
-                and (group := memo.group(stack, placed, rest - len(word))) is None
+            word.append(unit[v])
+            if fresh == 1:  # never 0: no state with one fresh value is walked below
+                # the rest is forced but for where the block of f goes in
+                # the tail, the letters that close the open values from
+                # the top down: before a letter u, it comes before every
+                # later place exactly when f < u
+                f = placed.index(0, 1)
+                if parts[-1] is None and K - len(word) - copies >= most:
+                    # more words than a chunk holds: one at a time
+                    yield from _forced(cap, unit, stack, placed, f, empty.join(word)[lead:])
+                    s = None
+                else:  # the string of the state, from the end of the tail
+                    s = block = unit[f] * cap[f]
+                    tail = empty
+                    for u in stack:
+                        x = unit[u]
+                        for _ in range(cap[u] - placed[u]):
+                            tail = x + tail
+                            s = x + s.replace(mark, mark + x)
+                            s = block + tail + mark + s if f < u else s + mark + block + tail
+            elif parts[-1] is None and not (  # the count of enumerate_qs
+                # f fresh values put at least 2^(f - 1) completions below
+                1 << fresh - 1 <= most
+                and (K - len(word) - copies + 1) * perm(K - len(word), fresh - 1) <= most
             ):
                 next_try.append(1)  # walk on below this letter
+                parts.append(None)
                 continue
-            head = tuple(word) if ints else "".join(word)[lead:]
-            if fresh == 2:
-                if sep is None:
-                    yield from map(head.__add__, group)
-                else:
-                    yield head + (sep + head).join(group)
             else:
-                f = placed.index(0, 1)
-                tail = head[:0]
-                # the offsets of the tail's letters above and below f: f at
-                # a letter u comes before every later place exactly when f < u
-                above, below = [], []
-                for u in reversed(stack):
-                    run = unit[u] * (cap[u] - placed[u])
-                    at = range(len(tail), len(tail) + len(run), len(unit[u]))
-                    (above if f < u else below).extend(at)
-                    tail += run
-                block = unit[f] * cap[f]
-                for i in above:
-                    yield head + tail[:i] + block + tail[i:]
-                yield head + tail + block
-                for i in reversed(below):
-                    yield head + tail[:i] + block + tail[i:]
+                try:
+                    key = bytes(stack + placed)
+                except ValueError:  # a value or a count past 255
+                    key = (*stack, *placed)
+                s = memo.get(key)
+                if s is None:
+                    next_try.append(1)  # build this state from those below it
+                    parts.append([])
+                    keys.append(key)
+                    continue
         else:
             next_try.pop()
-            if not word:
+            built = parts.pop()
+            if not next_try:
                 return
+            s = None
+            if built is not None:
+                s = mark.join(built)
+                key = keys.pop()
+                if len(s) <= _MEMO_SMALL:
+                    held += len(s) + len(key)
+                    if held > _MEMO_CHARS:
+                        memo.clear()
+                        held = len(s) + len(key)
+                    memo[key] = s
+        if s is not None:
+            if parts[-1] is None:
+                head = empty.join(word)[lead:]
+                yield head + s.replace(mark, sep + head)
+            else:
+                x = word[-1]
+                parts[-1].append(x + s.replace(mark, mark + x))
         # take back the last letter, the value tried last at this depth
         word.pop()
         v = next_try[-1] - 1
@@ -379,59 +432,26 @@ def _walk(cap, unit, stack, placed, rest, memo, lead, sep=None):
         if not placed[v]:
             stack.pop()
             fresh += 1
+            copies += cap[v]
 
 
-class _Memo:
-    """The completions of the states with two fresh values met by one
-    enumeration, keyed by the open-value stack and the placed counts,
-    which fix the open values, their remaining copies and the fresh
-    values. A state's list is built by the walk, run below the state
-    without a memo. The memo keeps about _MEMO_LETTERS letters and key
-    bytes at most: when full, it is emptied, and the states met next are
-    built again.
-
-    The keys are bytes while every value and count fits in one, and each
-    state's completions are a run of one list, found by a range. So in
-    text the memo adds no object that the garbage collector tracks, and
-    starts no collection that would land in the calls after it."""
-
-    __slots__ = ("cap", "unit", "runs", "words", "held")
-
-    def __init__(self, cap, unit):
-        self.cap = cap
-        self.unit = unit
-        self.runs = {}  # state key -> range of its completions in words
-        self.words = []
-        self.held = 0  # letters in words, and bytes in the keys
-
-    def group(self, stack, placed, rest):
-        """The completions of the state, which has rest letters to go, or
-        None if they hold more than _GROUP_LETTERS letters. With C copies
-        of its two fresh values, the state has (rest - C + 1) * rest
-        completions of rest letters each."""
-        try:
-            key = bytes(stack + placed)
-        except ValueError:  # a value or a count past 255
-            key = (*stack, *placed)
-        run = self.runs.get(key)
-        if run is not None:
-            return self.words[run.start : run.stop]
-        copies = sum([c for c, p in zip(self.cap, placed) if not p])  # cap[0] is 0
-        if (rest - copies + 1) * rest * rest > _GROUP_LETTERS:
-            return None
-        words = self.build(stack, placed, rest)
-        if self.held > _MEMO_LETTERS:
-            self.runs.clear()
-            self.words.clear()
-            self.held = 0
-        self.runs[key] = range(len(self.words), len(self.words) + len(words))
-        self.words += words
-        self.held += len(words) * rest + len(key)
-        return words
-
-    def build(self, stack, placed, rest):
-        """The state's completions: the walk, run below it without a memo."""
-        return list(_walk(self.cap, self.unit, stack[:], placed[:], rest, None, 0))
+def _forced(cap, unit, stack, placed, f, head):
+    """The words, one at a time, of the state whose one fresh value is f
+    and whose letters placed so far are head: the block of all copies of
+    f before each letter above f of the tail in turn, then last, then
+    before each letter below f from the back."""
+    tail = head[:0].join([unit[u] * (cap[u] - placed[u]) for u in reversed(stack)])
+    block = unit[f] * cap[f]
+    at, below = 0, []
+    for u in reversed(stack):
+        for _ in range(cap[u] - placed[u]):
+            if f < u:
+                yield head + tail[:at] + block + tail[at:]
+            else:
+                below.append(at)
+            at += len(unit[u])
+    for at in (at, *reversed(below)):
+        yield head + tail[:at] + block + tail[at:]
 
 
 def qs_count(spec) -> int:

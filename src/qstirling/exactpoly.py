@@ -26,6 +26,20 @@ def _integers(values, message):
         raise ValueError(message) from None
 
 
+def _decimal(c):
+    """str(c) of an int or a Fraction, at any size: past
+    sys.get_int_max_str_digits() digits (4,300 by default) str() refuses
+    an int, and decimal.Decimal writes its digits instead."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal  # only here: most ints are short
+
+        num, den = c.as_integer_ratio()
+        text = str(Decimal(num))
+        return text if den == 1 else "%s/%s" % (text, Decimal(den))
+
+
 def _grade(key):
     return (key[0] + key[1] + key[2], key[0], key[1], key[2])
 
@@ -174,7 +188,7 @@ class PolyTUV:
         for (et, eu, ev), c in self.sorted_terms():
             factors = []
             if c != 1 or (et, eu, ev) == (0, 0, 0):
-                factors.append(str(c))
+                factors.append(_decimal(c))
             for name, e in (("t", et), ("u", eu), ("v", ev)):
                 if e == 1:
                     factors.append(name)
@@ -192,7 +206,7 @@ class PolyTUV:
         if not self.is_integral():
             raise ValueError("polynomial has non-integer coefficients")
         return [
-            {"t": et, "u": eu, "v": ev, "c": str(c)}
+            {"t": et, "u": eu, "v": ev, "c": _decimal(c)}
             for (et, eu, ev), c in self.sorted_terms()
         ]
 

@@ -149,7 +149,12 @@ def from_path_cycle(rep):
 
 
 def render_path_cycle(rep):
-    paths, cycles = _int_groups(rep)
+    return _render_groups(*_int_groups(rep))
+
+
+def _render_groups(paths, cycles):
+    """The text of a path-cycle form whose paths and cycles are sequences
+    of ints, as to_path_cycle builds them: read as it is, unchecked."""
     text = "".join("<%s>" % word_to_text(p) for p in paths)
     return text + "".join("(%s)" % word_to_text(c) for c in cycles)
 

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
+import qstirling as q
 import sweeps
 from qstirling import bijections, cli, core, excedance, genfun, verify
 
@@ -83,10 +85,10 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
     words = islice(core.enumerate_qs((1,) * 9 + (20,)), len(lines))
     assert lines == [core.word_to_text(w) for w in words]
     # (300,1,1,9,1,1): a line takes 626 characters, and the search hands
-    # over the words of a memo state as one chunk of up to 56 KB, more
-    # than a block; the writes are still cut at the same offsets, the
-    # first after per_block words and each later one per_block lines on,
-    # and the reader takes four writes and goes
+    # over the words in chunks of several lines, each of at most
+    # core._CHUNK characters; the writes are still cut at the same
+    # offsets, the first after per_block words and each later one
+    # per_block lines on, and the reader takes four writes and goes
     mult = (300, 1, 1, 9, 1, 1)
     kernel = core._enumerate_qs
     sizes = []
@@ -109,7 +111,7 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
         assert cli.run(["enumerate", "--mult", "300,1,1,9,1,1", "--format", fmt]) == 3
         monkeypatch.undo()
-        assert len(writes) == 4 and max(sizes) > 1 << 15
+        assert len(writes) == 4 and line < max(sizes) <= core._CHUNK
         assert len(writes[0]) == per_block * line - len(sep) + len(lead)
         assert all(len(w) == per_block * line for w in writes[1:])
         stream = "".join(writes)
@@ -193,6 +195,40 @@ def test_count(capsys):
     assert (code, out) == (0, "4\n")
 
 
+def lifted(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the interpreter's limit on the digits of
+    integer text lifted, and restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_past_the_digit_limit(capsys):
+    # 2000! has 5,736 digits, more than str() writes by default: both
+    # formats print what they would print with the limit lifted
+    mult = ",".join(["1"] * 2000)
+    count = core.qs_count((1,) * 2000)
+    assert len(lifted(str, count)) == 5736 > sys.get_int_max_str_digits()
+    payload = {"mult": mult, "n": 2000, "K": 2000, "count": count}
+    code, out, _ = run_cli(capsys, "count", "--mult", mult)
+    assert (code, out) == (0, lifted(json.dumps, payload, sort_keys=True) + "\n")
+    code, out, _ = run_cli(capsys, "count", "--mult", mult, "--format", "lines")
+    assert (code, out) == (0, lifted(str, count) + "\n")
+
+
+def test_number_past_the_digit_limit_is_named(capsys):
+    # a number int() will not read is refused with the limit it passes,
+    # not as a number of other characters
+    code, out, err = run_cli(capsys, "count", "--mult", "1," + "9" * 5000)
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert "a number of 5000 digits, past the limit of %d digits" % limit in err
+    assert "ASCII" not in err
+
+
 def test_map_phi_round_trip(capsys):
     code, out, _ = run_cli(capsys, "map", "--which", "phi", "--tree", FIGURE_TREE)
     assert (code, out) == (0, FIGURE_WORD_TEXT + "\n")
@@ -237,6 +273,25 @@ def test_map_chi(capsys):
         capsys, "map", "--which", "chi-inv", "--perm", "11:7,8,1,6,2,9,3,11"
     )
     assert (code, out) == (0, "4,6,9,9,5,2,8,9,1,7,3\n")
+
+
+def test_map_chi_and_delta_print_the_public_rendering(capsys):
+    # the command renders the form that to_path_cycle builds without
+    # checking it again, and prints what render_path_cycle writes
+    seen = 0
+    for n in range(1, 6):
+        for m in range(1, 4):
+            for w in oracles.multiset_permutations((1,) * (n - 1) + (m,)):
+                for which, fn, word in (
+                    ("chi", q.chi, w),
+                    ("delta", q.delta, q.complement(w, n)),
+                ):
+                    text = q.word_to_text(word)
+                    code, out, _ = run_cli(capsys, "map", "--which", which, "--perm", text)
+                    want = q.render_path_cycle(q.to_path_cycle(fn(word)))
+                    assert (code, out) == (0, want + "\n")
+                    seen += 1
+    assert seen > 500
 
 
 def test_map_delta(capsys):

@@ -241,119 +241,184 @@ def test_text_kernel_spells_the_tuple_words():
 
 @pytest.mark.parametrize("sep", ["\n", '", "'])
 def test_text_chunks_are_the_words_joined(monkeypatch, sep):
-    # given a separator, the text search yields the words of each memo
-    # state as one chunk: joined by it, the chunks are the words joined
-    # by it, in pieces of unequal widths. Only a memo family has fewer
-    # chunks than words
+    # given a separator, the text search yields the words in chunks of
+    # whole words, each of at most _CHUNK characters unless it is two
+    # words: joined by it, the chunks are the words joined by it, in
+    # pieces of unequal widths
     def chunks_and_words(mult, limit=None):
         unit = ["," + "x" * v for v in range(len(mult) + 1)]
         chunks = list(islice(core._enumerate_qs(mult, unit, sep), limit))
         text = sep.join(chunks)
         words = list(islice(core._enumerate_qs(mult, unit), text.count(sep) + 1))
         assert text == sep.join(words), mult
+        assert max(map(len, chunks)) <= max(core._CHUNK, 2 * len(words[0]) + len(sep)), mult
         return len(chunks), len(words)
 
-    for mult in sweeps.all_mults(7) + [(1, 3, 1, 1, 3, 2)]:
-        chunks, words = chunks_and_words(mult)
-        assert words == q.qs_count(mult)
-        assert (chunks < words) == (len(mult) >= core._MEMO_VALUES), mult
+    # (60,60): a state with one fresh value has more words than a chunk
+    # holds, and hands them over one at a time
+    for mult in sweeps.all_mults(7) + [(60, 60)]:
+        assert chunks_and_words(mult)[1] == q.qs_count(mult)
+    chunks, words = chunks_and_words((1, 3, 1, 1, 3, 2))
+    assert words == q.qs_count((1, 3, 1, 1, 3, 2)) > 40 * chunks
     # the first chunks of a family whose memo keys are tuples
     chunks, words = chunks_and_words((300, 1, 1, 1, 1, 2), 2000)
     assert chunks == 2000 < words
+    # words of some 7,400 characters: two to a chunk
+    chunks, words = chunks_and_words((1,) * 120, 100)
+    assert chunks == 100 < words
     # a memo that empties itself many times over
-    monkeypatch.setattr(core, "_MEMO_LETTERS", 300)
+    monkeypatch.setattr(core, "_MEMO_CHARS", 300)
     chunks, words = chunks_and_words((2,) * 6)
     assert chunks < words == q.qs_count((2,) * 6)
 
 
-@pytest.mark.parametrize("mult, memo", [((2, 1, 3, 1, 2), False), ((1, 2, 1, 2, 1, 2), True)])
-def test_enumeration_on_each_side_of_the_memo(monkeypatch, mult, memo):
-    # the memo serves families of _MEMO_VALUES values or more: one case
-    # just below that and one at it, each against the filtered
-    # arrangements, in tuples and in pieces of unequal widths
-    assert len(mult) == core._MEMO_VALUES - 1 + memo
-    built = []
-    build = core._Memo.build
-    monkeypatch.setattr(core._Memo, "build", lambda m, *a: built.append(a) or build(m, *a))
-    want = [w for w in oracles.multiset_permutations(mult) if q.is_quasi_stirling(w)]
-    assert list(q.enumerate_qs(mult)) == want
+def recorded_memo(monkeypatch):
+    """The (key, string) pairs that the memos of the enumerations run
+    from here on keep, in the order they keep them."""
+    kept = []
+
+    class Recorder(core._Memo):
+        def __setitem__(self, key, s):
+            kept.append((key, s))
+            super().__setitem__(key, s)
+
+    monkeypatch.setattr(core, "_Memo", Recorder)
+    return kept
+
+
+def check_state(count, cap, stack, placed, completions):
+    """The completions of the state (stack, placed) are its arrangements
+    in lex order that close the open values and use the fresh ones: as
+    many as the oracle counts, each a quasi-Stirling word after the open
+    values in stack order, which is all that the placed letters leave."""
+    left = tuple(cap[v] - placed[v] for v in stack)
+    copies = tuple(c for c, p in zip(cap[1:], placed[1:]) if not p)
+    owed = Counter({v: cap[v] - placed[v] for v in range(1, len(cap))})
+    assert len(completions) == count(left, copies), (stack, placed)
+    assert all(a < b for a, b in zip(completions, completions[1:]))
+    for r in completions:
+        assert Counter(r) == owed and q.is_quasi_stirling(tuple(stack) + tuple(r))
+    return len(copies)
+
+
+def test_memo_strings_hold_each_states_completions(monkeypatch):
+    # every string that the memo keeps, for every family with K <= 7,
+    # holds the completions of its state, which the key spells. The memo
+    # builds the states with two fresh values or more, each f of them
+    # from 2 to 6, and here keeps every one it builds
+    kept = recorded_memo(monkeypatch)
+    monkeypatch.setattr(core, "_MEMO_SMALL", 1 << 20)
+    count = lru_cache(oracles.state_completions)
+    fs = set()
+    for mult in sweeps.all_mults(7):
+        n = len(mult)
+        kept.clear()
+        assert sum(1 for _ in q.enumerate_qs(mult)) == q.qs_count(mult)
+        for key, s in kept:
+            stack, placed = key[: -(n + 1)], key[-(n + 1) :]
+            fs.add(check_state(count, (0,) + mult, stack, placed, s.split(b"\0")))
+    assert fs == {2, 3, 4, 5, 6}
+
+
+def test_forced_completions_of_one_fresh_value(monkeypatch):
+    # every state with one fresh value and some value open, met as a
+    # prefix of a word of a family with K <= 7: handed over one word at a
+    # time, as when its words do not fit a chunk, the block placed in the
+    # tail spells its completions
+    count = lru_cache(oracles.state_completions)
+    units = [bytes((v,)) for v in range(8)]
+    seen = 0
+    for mult in sweeps.all_mults(7):
+        cap = (0,) + mult
+        states = set()
+        for w in sweeps.qs_words(mult):
+            stack, placed = [], [0] * len(cap)
+            for v in w:
+                if not placed[v]:
+                    stack.append(v)
+                placed[v] += 1
+                if placed[v] == cap[v]:
+                    stack.remove(v)
+                if placed.count(0) == 2 and stack:  # placed[0] stays 0
+                    states.add((tuple(stack), tuple(placed)))
+        for stack, placed in states:
+            f = placed.index(0, 1)
+            forced = list(core._forced(cap, units, list(stack), list(placed), f, b""))
+            assert check_state(count, cap, stack, placed, forced) == 1
+        seen += len(states)
+    assert seen > 1000
+    # in a chunk, such a state is spelled from the end of its tail: with
+    # chunks of two words, every tail of two letters or more is handed
+    # over one word at a time instead, and the words are the same
+    monkeypatch.setattr(core, "_CHUNK", 1)
+    for mult in sweeps.all_mults(7):
+        assert tuple(q.enumerate_qs(mult)) == sweeps.qs_words(mult), mult
+
+
+@pytest.mark.parametrize("mult", [(2, 2, 1, 1, 1, 1), (2,) * 6, (3, 2, 2, 2, 2, 2)])
+def test_enumeration_across_memo_evictions(monkeypatch, mult):
+    # a memo of a few hundred characters empties itself and builds its
+    # states again many times over: the words, in tuples and in pieces of
+    # unequal widths, match those of the walk with two words a chunk and
+    # a memo that keeps nothing, and at K = 8 the filtered arrangements
     unit = ["," + "x" * v for v in range(len(mult) + 1)]
-    assert list(core._enumerate_qs(mult, unit)) == [",".join("x" * v for v in w) for w in want]
-    assert bool(built) == memo
+    kept = recorded_memo(monkeypatch)
+    monkeypatch.setattr(core, "_MEMO_CHARS", 300)
+    words = list(core._enumerate_qs(mult))
+    texts = list(core._enumerate_qs(mult, unit))
+    built = [key for key, _ in kept]
+    assert len(built) > 2 * len(set(built))  # each state is built again
+    monkeypatch.setattr(core, "_CHUNK", 1)
+    monkeypatch.setattr(core, "_MEMO_SMALL", -1)
+    kept.clear()
+    assert list(core._enumerate_qs(mult)) == words
+    assert list(core._enumerate_qs(mult, unit)) == texts
+    assert not kept and len(words) == q.qs_count(mult)
+    assert texts == [",".join("x" * v for v in w) for w in words]
+    if sum(mult) == 8:
+        filtered = oracles.multiset_permutations(mult)
+        assert words == [w for w in filtered if q.is_quasi_stirling(w)]
 
 
 def test_memo_keys_counts_past_255(monkeypatch):
-    # 300 copies of 1 do not fit the memo's bytes keys: the first words
-    # with the memo, tuple-keyed, match those of the plain walk
+    # 300 copies of 1 do not fit the memo's bytes keys: the first words,
+    # with states built under tuple keys, match those of the walk with
+    # two words a chunk and a memo that keeps nothing
     mult = (300, 1, 1, 1, 1, 2)
-    built = []
-    build = core._Memo.build
-    monkeypatch.setattr(core._Memo, "build", lambda m, *a: built.append(a) or build(m, *a))
+    kept = recorded_memo(monkeypatch)
     digests = []
-    for values in (core._MEMO_VALUES, len(mult) + 1):
-        monkeypatch.setattr(core, "_MEMO_VALUES", values)
+    for chunk, small in ((core._CHUNK, core._MEMO_SMALL), (1, -1)):
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        monkeypatch.setattr(core, "_MEMO_SMALL", small)
         digest = hashlib.sha256()
         for w in islice(q.enumerate_qs(mult), 10000):
             digest.update(bytes(w))
         digests.append(digest.digest())
-    assert built and min(a[1][1] for a in built) > 255
-    assert digests[0] == digests[1]
+        if chunk > 1:
+            assert kept and all(type(key) is tuple and key[-6] > 255 for key, _ in kept)
+            kept.clear()
+    assert not kept and digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("mult", [(2,) * 6, (3, 2, 2, 2, 2, 2)])
-def test_enumeration_across_memo_evictions(monkeypatch, mult):
-    # a memo of a few hundred letters empties itself and builds its lists
-    # again many times over: the words, in tuples and in pieces of unequal
-    # widths, match those of the plain walk
-    unit = ["," + "x" * v for v in range(len(mult) + 1)]
-    built = []
-    build = core._Memo.build
-    monkeypatch.setattr(
-        core._Memo, "build", lambda m, *a: built.append(bytes(a[0] + a[1])) or build(m, *a)
-    )
-    monkeypatch.setattr(core, "_MEMO_LETTERS", 300)
-    runs = []
-    for values in (core._MEMO_VALUES, len(mult) + 1):
-        monkeypatch.setattr(core, "_MEMO_VALUES", values)
-        runs.append((list(core._enumerate_qs(mult)), list(core._enumerate_qs(mult, unit))))
-    assert runs[0] == runs[1]
-    assert len(runs[0][0]) == q.qs_count(mult)
-    assert len(built) > 2 * len(set(built))  # each state is built again
-
-
-@pytest.mark.parametrize("mult", [(2,) * 6, (1, 3, 1, 1, 3, 2)])
-def test_memo_builds_exactly_the_states_that_fit(monkeypatch, mult):
-    # with _GROUP_LETTERS at 60, every state the memo is asked about is
-    # built exactly when its completions, counted by the oracle, hold at
-    # most 60 letters; the words match those of the plain walk
-    asked, built = {}, set()
-    group, build = core._Memo.group, core._Memo.build
-
-    def ask(memo, stack, placed, rest):
-        asked[bytes(stack + placed)] = (tuple(stack), tuple(placed), rest)
-        return group(memo, stack, placed, rest)
-
-    monkeypatch.setattr(core._Memo, "group", ask)
-    monkeypatch.setattr(
-        core._Memo, "build", lambda m, *a: built.add(bytes(a[0] + a[1])) or build(m, *a)
-    )
-    monkeypatch.setattr(core, "_GROUP_LETTERS", 60)
-    words = list(core._enumerate_qs(mult))
-    monkeypatch.setattr(core, "_MEMO_VALUES", len(mult) + 1)
-    assert words == list(core._enumerate_qs(mult))
-    count = lru_cache(oracles.state_completions)
-    cap = (0,) + mult
-    checked = 0
-    for key, (stack, placed, rest) in asked.items():
-        if rest > 8:  # at least rest completions of rest letters each
-            assert key not in built
-            continue
-        left = tuple(cap[v] - placed[v] for v in stack)
-        copies = tuple(c for c, p in zip(cap[1:], placed[1:]) if not p)
-        assert len(copies) == 2 and sum(left + copies) == rest
-        assert (key in built) == (count(left, copies) * rest <= 60), (stack, placed)
-        checked += 1
-    assert built and checked > len(built)
+def test_tuple_words_of_values_past_255(monkeypatch):
+    # a value past 255 does not fit a byte, so the tuple words are
+    # written as characters and read back by ord: the first words match
+    # the text words and those of the walk with two words a chunk, in lex
+    # order, each a quasi-Stirling arrangement of the multiset
+    for mult in [(1,) * 300, (2,) + (1,) * 299 + (3,)]:
+        unit = [",%d" % v for v in range(len(mult) + 1)]
+        first = list(islice(q.enumerate_qs(mult), 3000))
+        texts = islice(core._enumerate_qs(mult, unit), 3000)
+        assert first == [q.word_from_text(w) for w in texts]
+        want = Counter(dict(enumerate(mult, 1)))
+        assert all(a < b for a, b in zip(first, first[1:]))
+        assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in first)
+        monkeypatch.setattr(core, "_CHUNK", 1)
+        assert list(islice(q.enumerate_qs(mult), 3000)) == first
+        monkeypatch.undo()
+    # no character is 0x110000 or more: such a family is refused at the call
+    with pytest.raises(ValueError, match="too many to enumerate as tuples"):
+        core._enumerate_qs((1,) * 0x110000)
 
 
 @pytest.mark.parametrize("text", [False, True])
@@ -388,6 +453,21 @@ def test_enumeration_memo_stays_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert library < 2 << 20 and command < 2 << 20
+
+
+def test_enumerate_command_memory_on_a_counting_family(monkeypatch):
+    # a family of the kind the benchmark enumerates: the command's traced
+    # peak, its memo and its write blocks included, stays under 768 KB
+    # (about 370 KB here; 525 KB when the memo held per-letter lists)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))
+    assert cli.run(["count", "--mult", "1"]) == 0  # the parser is built once
+    tracemalloc.start()
+    try:
+        assert cli.run(["enumerate", "--mult", "1,3,1,1,3,2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 << 10
 
 
 def test_entry_points_take_a_multiplicity_tuple():

@@ -1,5 +1,6 @@
 """Exact polynomial and truncated-series arithmetic."""
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -184,3 +185,19 @@ def test_series_with_polynomial_coefficients():
     assert sq.coefficient(1) == 2 * t
     assert sq.coefficient(2) == t * t
     assert sq.coefficient(3) == 0
+
+
+def test_coefficients_past_the_digit_limit_print_in_full():
+    # 2000! has 5,736 digits, more than str() writes by default: pretty
+    # and to_json_obj write what they write with the limit lifted
+    big = factorial(2000)
+    p = PolyTUV({(0, 0, 0): big, (1, 0, 2): -big, (2, 0, 0): 3})
+    r = p + PolyTUV({(0, 1, 0): Fraction(big, 7)})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = p.pretty(), p.to_json_obj(), r.pretty()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert 3 * 5736 < len(want[2])
+    assert (p.pretty(), p.to_json_obj(), r.pretty()) == want
