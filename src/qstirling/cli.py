@@ -259,12 +259,55 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+def _format(default):
+    keywords = dict(dest="format", choices=("lines", "json"), default=default)
+    return {"--format": dict(keywords, help="output format (default %(default)s)")}
+
+
+# The one spec of the command line: each verb's help, command and options
+# in order, each option its flag and add_argument's keywords. _build_parser
+# reads it for help, usage and errors; _plain_args reads it for the calls
+# that need neither
+_MULT = {"--mult": dict(dest="mult", help="multiplicities, e.g. 2,2,1")}
+_PERM = {"--perm": dict(dest="perm", help="word or map operand in its wire format")}
+_TREE = {"--tree": dict(dest="tree", help="tree in the label(child,...) grammar")}
+_WHICH = {"--which": dict(dest="which", help=(
+    "phi|phi-inv|psi:<j>|psi-inv:<j>|Psi|Phi|Phi-inv|chi|chi-inv|"
+    "delta|delta-inv|zeta|zeta-inv|transport:<mult>"))}
+_CHECKS = {
+    "--check": dict(dest="check", help="|".join(sorted(verify.CHECKS))),
+    "--suite": dict(
+        dest="suite", action="store_true", default=False, help="run every identity family"
+    ),
+    "--order": dict(
+        dest="order", help="series truncation order (default %d)" % verify.DEFAULT_ORDER
+    ),
+    "--max-K": dict(
+        dest="max_K", help="sweep bound on the total size K (default %d)" % _DEFAULT_MAX_K
+    ),
+}
+_VERBS = {
+    "enumerate": ("list every word of a multiset", _cmd_enumerate, _MULT | _format("lines")),
+    "stats": ("statistics of one word or tree", _cmd_stats, _PERM | _TREE | _format("json")),
+    "poly": ("joint (des, asc, plat) polynomial", _cmd_poly, _MULT | _format("json")),
+    "map": (
+        "apply a named map to one object",
+        _cmd_map,
+        _WHICH | _MULT | _PERM | _TREE | _format("lines"),
+    ),
+    "verify": (
+        "check one identity or the whole suite",
+        _cmd_verify,
+        _CHECKS | _MULT | _format("json"),
+    ),
+    "count": ("closed-form family size K!/(K-n+1)!", _cmd_count, _MULT | _format("json")),
+}
+
+
 @functools.cache
 def _build_parser():
-    # one parser per process, built on the first run(): parsing keeps no
-    # state in it and gives each call a fresh Namespace. The verb map
-    # comes with it: run() hands an argv that starts with a verb to that
-    # verb's parser alone, and every other argv to the top-level parser
+    # built once per process, for the first argv _plain_args declines:
+    # parsing keeps no state in it and gives each call a fresh Namespace
     parser = argparse.ArgumentParser(
         prog="qstirling",
         description=(
@@ -273,89 +316,61 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    for verb, (help, fn, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn)
+    return parser
 
-    def common(p, *, mult=False, perm=False, tree=False, default_fmt="json"):
-        if mult:
-            p.add_argument("--mult", help="multiplicities, e.g. 2,2,1")
-        if perm:
-            p.add_argument("--perm", help="word or map operand in its wire format")
-        if tree:
-            p.add_argument("--tree", help="tree in the label(child,...) grammar")
-        p.add_argument(
-            "--format",
-            choices=("lines", "json"),
-            default=default_fmt,
-            help="output format (default %(default)s)",
-        )
 
-    p = sub.add_parser("enumerate", help="list every word of a multiset")
-    common(p, mult=True, default_fmt="lines")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("stats", help="statistics of one word or tree")
-    common(p, perm=True, tree=True)
-    p.set_defaults(fn=_cmd_stats)
-
-    p = sub.add_parser("poly", help="joint (des, asc, plat) polynomial")
-    common(p, mult=True)
-    p.set_defaults(fn=_cmd_poly)
-
-    p = sub.add_parser("map", help="apply a named map to one object")
-    p.add_argument(
-        "--which",
-        help=(
-            "phi|phi-inv|psi:<j>|psi-inv:<j>|Psi|Phi|Phi-inv|chi|chi-inv|"
-            "delta|delta-inv|zeta|zeta-inv|transport:<mult>"
-        ),
-    )
-    common(p, mult=True, perm=True, tree=True, default_fmt="lines")
-    p.set_defaults(fn=_cmd_map)
-
-    p = sub.add_parser("verify", help="check one identity or the whole suite")
-    p.add_argument("--check", help="|".join(sorted(verify.CHECKS)))
-    p.add_argument("--suite", action="store_true", help="run every identity family")
-    p.add_argument(
-        "--order",
-        help="series truncation order (default %d)" % verify.DEFAULT_ORDER,
-    )
-    p.add_argument(
-        "--max-K",
-        dest="max_K",
-        help="sweep bound on the total size K (default %d)" % _DEFAULT_MAX_K,
-    )
-    common(p, mult=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("count", help="closed-form family size K!/(K-n+1)!")
-    common(p, mult=True)
-    p.set_defaults(fn=_cmd_count)
-
-    return parser, sub.choices
+def _plain_args(argv):
+    """The Namespace the top-level parser makes of argv, when argv is a
+    verb and its own flags by their whole names, each at most once and
+    each but --suite with a string value that does not start with "-";
+    None for any other argv."""
+    try:
+        verb = argv[0]
+        _, fn, options = _VERBS[verb]
+    except (IndexError, KeyError, TypeError):
+        return None
+    args = {keywords["dest"]: keywords.get("default") for keywords in options.values()}
+    unseen = dict(options)
+    rest = iter(argv[1:])
+    for flag in rest:
+        keywords = unseen.pop(flag, None) if type(flag) is str else None
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
+            value = next(rest, None)
+            if type(value) is not str or value.startswith("-"):
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        args[keywords["dest"]] = value
+    return argparse.Namespace(verb=verb, fn=fn, **args)
 
 
 def run(argv):
     """Parse argv (without the program name) and execute; returns the
     exit code instead of exiting, so it can be driven in-process.
 
-    The parser is built on the first call and reused for the life of the
-    process, so repeated calls pay only for their own work; no value set
-    by one call carries into the next. An argv that starts with a verb is
-    parsed by that verb's parser alone, and anything it leaves over is
-    refused by the top-level parser, as the top-level parse would refuse
-    it; the top-level parser parses every other argv, so an empty argv,
-    -h and an unknown verb get its usage, help and errors."""
-    parser, verbs = _build_parser()
-    try:
-        if argv and argv[0] in verbs:
-            # the top-level parse would hand the verb's parser every
-            # string after the verb, -h and -- included
-            args, extra = verbs[argv[0]].parse_known_args(argv[1:])
-            if extra:
-                parser.error("unrecognized arguments: %s" % " ".join(extra))
-        else:
-            args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
+    An argv that is a verb and its own flags, each given once with a
+    plain value, is read from the option table alone, in about 2 µs; any
+    other argv goes to the argparse parser (about 20 µs a parse), built
+    on the first such call and kept, so help, usage and errors are
+    argparse's. No value set by one call carries into the next."""
+    args = _plain_args(argv)
+    if args is None:
+        if not all(isinstance(arg, str) for arg in argv or ()):
+            print("error: every argument must be a string", file=sys.stderr)
+            return 2
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
     except ValueError as e:

@@ -1,7 +1,10 @@
 """Command-line surface: frozen outputs, formats and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from itertools import islice
@@ -635,13 +638,102 @@ def test_argparse_level_errors(capsys):
     assert code == 2
 
 
+# every --help at COLUMNS=80, byte for byte
+HELP = {
+    ("--help",): (
+        "usage: qstirling [-h] verb ...\n"
+        "\n"
+        "Quasi-Stirling words over multisets: enumeration, statistics, the tree\n"
+        "correspondence, and identity verification.\n"
+        "\n"
+        "positional arguments:\n"
+        "  verb\n"
+        "    enumerate\n"
+        "              list every word of a multiset\n"
+        "    stats     statistics of one word or tree\n"
+        "    poly      joint (des, asc, plat) polynomial\n"
+        "    map       apply a named map to one object\n"
+        "    verify    check one identity or the whole suite\n"
+        "    count     closed-form family size K!/(K-n+1)!\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("enumerate", "--help"): (
+        "usage: qstirling enumerate [-h] [--mult MULT] [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --mult MULT           multiplicities, e.g. 2,2,1\n"
+        "  --format {lines,json}\n"
+        "                        output format (default lines)\n"
+    ),
+    ("stats", "--help"): (
+        "usage: qstirling stats [-h] [--perm PERM] [--tree TREE]\n"
+        "                       [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --perm PERM           word or map operand in its wire format\n"
+        "  --tree TREE           tree in the label(child,...) grammar\n"
+        "  --format {lines,json}\n"
+        "                        output format (default json)\n"
+    ),
+    ("poly", "--help"): (
+        "usage: qstirling poly [-h] [--mult MULT] [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --mult MULT           multiplicities, e.g. 2,2,1\n"
+        "  --format {lines,json}\n"
+        "                        output format (default json)\n"
+    ),
+    ("map", "--help"): (
+        "usage: qstirling map [-h] [--which WHICH] [--mult MULT] [--perm PERM]\n"
+        "                     [--tree TREE] [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --which WHICH         phi|phi-inv|psi:<j>|psi-inv:<j>|Psi|Phi|Phi-\n"
+        "                        inv|chi|chi-inv|delta|delta-inv|zeta|zeta-\n"
+        "                        inv|transport:<mult>\n"
+        "  --mult MULT           multiplicities, e.g. 2,2,1\n"
+        "  --perm PERM           word or map operand in its wire format\n"
+        "  --tree TREE           tree in the label(child,...) grammar\n"
+        "  --format {lines,json}\n"
+        "                        output format (default lines)\n"
+    ),
+    ("verify", "--help"): (
+        "usage: qstirling verify [-h] [--check CHECK] [--suite] [--order ORDER]\n"
+        "                        [--max-K MAX_K] [--mult MULT] [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --check CHECK         coro14|coro15|eq2|eq5|eq7|thm11|thm12|thm13|thm22|thm2\n"
+        "                        3\n"
+        "  --suite               run every identity family\n"
+        "  --order ORDER         series truncation order (default 8)\n"
+        "  --max-K MAX_K         sweep bound on the total size K (default 5)\n"
+        "  --mult MULT           multiplicities, e.g. 2,2,1\n"
+        "  --format {lines,json}\n"
+        "                        output format (default json)\n"
+    ),
+    ("count", "--help"): (
+        "usage: qstirling count [-h] [--mult MULT] [--format {lines,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --mult MULT           multiplicities, e.g. 2,2,1\n"
+        "  --format {lines,json}\n"
+        "                        output format (default json)\n"
+    ),
+}
+
+
 def test_help_exits_zero(capsys, monkeypatch):
-    # each help is its own parser's text, byte for byte, at a fixed width
     monkeypatch.setenv("COLUMNS", "80")
-    parser, verbs = cli._build_parser()
-    assert run_cli(capsys, "--help") == (0, parser.format_help(), "")
-    for verb, verb_parser in verbs.items():
-        assert run_cli(capsys, verb, "--help") == (0, verb_parser.format_help(), "")
+    for argv, text in HELP.items():
+        assert run_cli(capsys, *argv) == (0, text, ""), argv
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
@@ -681,75 +773,138 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
 
 
-# argvs that start with a verb skip the top-level parse; each must
-# give what the whole top-level route gives
+# argvs the plain reader leaves to argparse, one for each reason
+DECLINED = [
+    ["count", "--mult=1,2"],
+    ["count", "--mu", "2,1"],
+    ["count", "--mult", "9", "--mult", "2,2", "--format", "lines"],
+    ["verify", "--suite", "--suite", "--max-K", "2"],
+    ["count", "--mult", "-"],
+    ["map", "--which", "Phi", "--perm", "-1"],
+    ["count", "--mult", "--"],
+    ["count", "--mult", "1", "--format", "xml"],
+    ["count", "--mult"],
+    ["count", "--mult", 1],
+    ["count", "--mult", "1", "-h"],
+    ["count", "--perm", "1"],
+    ["--mult", "1", "enumerate"],
+]
+# each argv must give what the whole top-level route gives
 PARSE_CORPUS = [
     [],
     ["-h"],
     ["--help"],
     *([verb, "-h"] for verb in ("enumerate", "stats", "poly", "map", "verify", "count")),
-    ["count", "--mult", "1", "-h"],
     ["frobnicate"],
-    ["--mult", "1", "enumerate"],
-    ["count", "--mult=1,2"],
     ["enumerate", "--mul", "1,2"],
     ["count", "--mult", "2,1", "--f", "json"],
-    ["count", "--mult", "9", "--mult", "2,2", "--format", "lines"],
     ["count", "--mult", "1", "x"],
     ["count", "--mult", "1", "--", "x"],
     ["count", "--", "--mult", "1"],
     ["--", "count", "--mult", "1"],
-    ["map", "--which", "Phi", "--perm", "-1"],
+    ["count", "--mult", ""],
+    ["count", "--mult", "2,2"],
     ["map", "--which", "phi-inv", "--perm", "1,2,2,1"],
     ["stats", "--perm", "1,2,2,1", "--format", "lines"],
     ["poly", "--mult", "2,1"],
     ["verify", "--check", "eq5", "--mult", "2,3"],
-    ["count", "--mult"],
-    ["count", "--mult", "1", "--format", "xml"],
+    ["verify", "--format", "lines", "--max-K", "2", "--suite"],
     ["enumerate", "--bogus-flag", "1"],
+    *DECLINED,
 ]
 
 
-def _top_level_run(argv):
-    """run() with the whole argv read by the top-level parser."""
-    parser = cli._build_parser()[0]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    try:
-        return args.fn(args)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except Exception as e:
-        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 3
+def test_plain_reader_declines_what_argparse_reads_otherwise():
+    for argv in DECLINED:
+        assert cli._plain_args(argv) is None, argv
 
 
-@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
-def test_verb_parser_alone_matches_the_top_level_route(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(map(str, argv)))
+def test_plain_reader_matches_the_top_level_route(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    parsed = []
-    real = argparse.ArgumentParser.parse_known_args
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert plain == cli._build_parser().parse_args(argv)
+    first = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert run_cli(capsys, *argv) == first
 
-    def recording(self, *args, **kwargs):
-        result = real(self, *args, **kwargs)
-        parsed.append(vars(result[0]))
-        return result
 
-    def route(run):
-        parsed.clear()
-        code = run(list(argv))
-        # the outermost parse returns last and holds the whole Namespace;
-        # only the top-level route names the verb in it
-        args = dict(parsed[-1]) if parsed else None
-        if args is not None:
-            args.pop("verb", None)
-        return code, capsys.readouterr(), args
+NOT_STRINGS = [["count", "--mult", 1], ["count", 1], [1], [None], [["count"], "--mult", "1"]]
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
-    assert route(cli.run) == route(_top_level_run)
+
+@pytest.mark.parametrize("argv", NOT_STRINGS, ids=repr)
+def test_arguments_that_are_not_strings_exit_two(capsys, argv):
+    assert cli._plain_args(argv) is None
+    assert run_cli(capsys, *argv) == (2, "", "error: every argument must be a string\n")
+
+
+def test_plain_call_builds_no_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain call")
+
+    cli._build_parser.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        code, out, _ = run_cli(capsys, "count", "--mult", "2,2")
+    assert (code, out) == (0, '{"K": 4, "count": 4, "mult": "2,2", "n": 2}\n')
+    assert cli._build_parser.cache_info().currsize == 0
+    assert run_cli(capsys, "--help")[0] == 0
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+# each verb's flags, spelled out apart from the table in cli
+FLAGS = {
+    "enumerate": ["--mult", "--format"],
+    "stats": ["--perm", "--tree", "--format"],
+    "poly": ["--mult", "--format"],
+    "map": ["--which", "--mult", "--perm", "--tree", "--format"],
+    "verify": ["--check", "--suite", "--order", "--max-K", "--mult", "--format"],
+    "count": ["--mult", "--format"],
+}
+VALUES = ["", "-", "-1", "--", "x", "json", "xml", "lines", "2,2", "1,2,2,1", "١,2", "é"]
+
+
+def _random_argv(rng):
+    argv = [rng.choice([*FLAGS] * 8 + ["frobnicate", "--help", "-h", "--mult"])]
+    flags = FLAGS.get(argv[0], ["--mult"])
+    for _ in range(rng.randrange(5)):
+        kind = rng.random()
+        if kind < 0.7:
+            flag = rng.choice(flags)
+        elif kind < 0.85:
+            flag = rng.choice(flags)[: rng.randrange(2, 7)]  # an abbreviation
+        else:
+            flag = rng.choice([*FLAGS["verify"], *FLAGS["map"], "-h", "--bogus"])
+        if rng.random() < 0.1:
+            argv.append("%s=%s" % (flag, rng.choice(VALUES)))
+        elif flag == "--suite" or rng.random() < 0.1:
+            argv.append(flag)  # no value, or none where one is due
+        else:
+            argv += [flag, rng.choice(VALUES)]
+    if rng.random() < 0.02:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice([1, None, b"x", ["x"]]))
+    return argv
+
+
+def test_plain_reader_agrees_with_argparse_on_random_argv():
+    # parse only: the plain reader gives exactly the Namespace of the
+    # top-level parse, or leaves the argv to it
+    rng = random.Random(2021)
+    parser = cli._build_parser()
+    accepted = 0
+    for _ in range(2000):
+        argv = _random_argv(rng)
+        quiet = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                want = parser.parse_args(argv)
+        except (SystemExit, TypeError):
+            want = None
+        got = cli._plain_args(argv)
+        assert got is None or got == want, argv
+        accepted += got is not None
+    assert accepted >= 400
 
 
 def test_byte_identical_reruns(capsys):

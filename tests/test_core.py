@@ -442,7 +442,7 @@ def test_enumeration_memo_stays_bounded(monkeypatch):
     # kept whole, their completions take some 4 to 5 MB here
     mult = (3, 2, 2, 2, 2, 2)
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))
-    assert cli.run(["count", "--mult", "1"]) == 0  # the parser is built once
+    assert cli.run(["count", "--mult", "1"]) == 0  # one-time costs fall outside the trace
     tracemalloc.start()
     try:
         assert sum(1 for _ in q.enumerate_qs(mult)) == 154440
@@ -460,7 +460,7 @@ def test_enumerate_command_memory_on_a_counting_family(monkeypatch):
     # peak, its memo and its write blocks included, stays under 768 KB
     # (about 370 KB here; 525 KB when the memo held per-letter lists)
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=len))
-    assert cli.run(["count", "--mult", "1"]) == 0  # the parser is built once
+    assert cli.run(["count", "--mult", "1"]) == 0  # one-time costs fall outside the trace
     tracemalloc.start()
     try:
         assert cli.run(["enumerate", "--mult", "1,3,1,1,3,2"]) == 0
