@@ -388,7 +388,10 @@ def perm_tuple_from_text(text):
 
 
 def perm_tuple_to_text(parts):
-    return "|".join(map(word_to_text, parts))
+    try:
+        return "|".join(map(word_to_text, parts))
+    except TypeError:  # parts is no sequence
+        raise ValueError("parts must be sequences of integers") from None
 
 
 def enumerate_perm_tuples(m, n, anchored=False):

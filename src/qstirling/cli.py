@@ -69,45 +69,22 @@ def _verdict_line(ok, name, cases):
 def _cmd_enumerate(args):
     spec = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
     # the search writes each letter as ",v", so a word is its text, and
-    # yields the words in chunks of at most 8 KB or two words, joined by
-    # sep; both formats are the stream lead + sep.join(chunks) + end,
-    # written in blocks of per_block lines, 32 KB and at most one line
-    # more. Every word is a permutation of the one multiset, so every
-    # line has the same width and the blocks are cut at fixed offsets of
-    # the stream: the first after per_block words, each later one
-    # per_block lines on
+    # yields whole words in chunks joined by sep; both formats are the
+    # stream lead + sep.join(chunks) + end, written as the chunks come,
+    # gathered until they hold 32 KB, so each write holds whole words
     unit = [",%d" % v for v in range(spec.n + 1)]
     if args.format == "json":
         lead, sep, end = '["', '", "', '"]\n'
     else:
         lead, sep, end = "", "\n", "\n"
-    chunks = core._enumerate_qs(spec.mult, unit, sep)
-    line = sum(k * len(unit[v]) for v, k in enumerate(spec.mult, 1)) - 1 + len(sep)
-    per_block = (1 << 15) // line + 1
-    block = per_block * line
-    cut = block - len(sep) + len(lead)
-    text = lead + next(chunks)  # each later chunk follows a sep
-    while True:
-        at = 0
-        while len(text) - at >= cut:
-            sys.stdout.write(text[at : at + cut])
-            at += cut
-            cut = block
-        # the rest is whole lines short of the cut: take chunks until
-        # they reach it, so the text stays within a block and a chunk
-        parts = [text[at:]]
-        size = len(parts[0])
-        for chunk in chunks:
-            parts.append(chunk)
-            size += len(sep) + len(chunk)
-            if size >= cut:
-                break
-        text = sep.join(parts)
-        if len(parts) == 1:
-            break
-    if text:
-        sys.stdout.write(text)
-    sys.stdout.write(end)
+    parts, size = [], 0
+    for chunk in core._enumerate_qs(spec.mult, unit, sep):
+        parts.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 15:
+            sys.stdout.write(lead + sep.join(parts))
+            lead, parts, size = sep, [], 0  # each later write follows a sep
+    sys.stdout.write(lead + sep.join(parts) + end if parts else end)
     return 0
 
 

@@ -130,7 +130,10 @@ def word_from_text(text):
 
 
 def word_to_text(word):
-    return ",".join(str(v) for v in word)
+    try:
+        return ",".join(str(v) for v in word)
+    except TypeError:  # word is no sequence
+        raise ValueError("word values must be integers") from None
 
 
 def word_spec(word):
@@ -188,14 +191,17 @@ def stats(word) -> StatTriple:
         return StatTriple(0, 0, 0)
     asc = des = plat = 0
     prev = 0
-    for v in word:
-        if prev < v:
-            asc += 1
-        elif prev > v:
-            des += 1
-        else:
-            plat += 1
-        prev = v
+    try:
+        for v in word:
+            if prev < v:
+                asc += 1
+            elif prev > v:
+                des += 1
+            else:
+                plat += 1
+            prev = v
+    except TypeError:  # word is no sequence, or a value no number
+        raise ValueError("word values must be integers") from None
     des += 1  # trailing sentinel: prev > 0
     return StatTriple(asc, des, plat)
 
@@ -213,10 +219,13 @@ def is_quasi_stirling(word) -> bool:
     """True iff no two distinct values occur in the crossing pattern abab."""
     first = {}
     last = {}
-    for pos, v in enumerate(word):
-        if v not in first:
-            first[v] = pos
-        last[v] = pos
+    try:
+        for pos, v in enumerate(word):
+            if v not in first:
+                first[v] = pos
+            last[v] = pos
+    except TypeError:  # word is no sequence, or a value unhashable
+        raise ValueError("word values must be integers") from None
     stack = []
     for pos, v in enumerate(word):
         if first[v] == pos:
@@ -230,7 +239,10 @@ def is_quasi_stirling(word) -> bool:
 
 def is_stirling(word) -> bool:
     """True iff every value sitting between two equal values exceeds them."""
-    counts = Counter(word)
+    try:
+        counts = Counter(word)
+    except TypeError:  # word is no sequence, or a value unhashable
+        raise ValueError("word values must be integers") from None
     if any(c > 2 for c in counts.values()):
         return False  # a middle copy of the value is not above it
     # the values whose second copy is still ahead, increasing upward

@@ -25,6 +25,8 @@ from typing import NamedTuple, Optional
 
 from .core import MultisetSpec, _as_spec, _expect, _indexable
 
+_NOT_A_TREE = "not a tree: each node must be a (label, children) pair with iterable children"
+
 
 class TreeStats(NamedTuple):
     cdes: int
@@ -39,21 +41,24 @@ def render_tree(t):
     subtrees and the literal ")" and "," that follow them."""
     out = []
     stack = [t]
-    while stack:
-        x = stack.pop()
-        if x.__class__ is str:
-            out.append(x)
-            continue
-        label, children = x
-        if not children:
-            out.append(str(label))
-            continue
-        out.append("%d(" % label)
-        stack.append(")")
-        for child in children[:0:-1]:
-            stack.append(child)
-            stack.append(",")
-        stack.append(children[0])
+    try:
+        while stack:
+            x = stack.pop()
+            if x.__class__ is str:
+                out.append(x)
+                continue
+            label, children = x
+            if not children:
+                out.append(str(label))
+                continue
+            out.append("%d(" % label)
+            stack.append(")")
+            for child in children[:0:-1]:
+                stack.append(child)
+                stack.append(",")
+            stack.append(children[0])
+    except TypeError:
+        raise ValueError(_NOT_A_TREE) from None
     return "".join(out)
 
 
@@ -133,10 +138,7 @@ def infer_spec(t):
                     )
                 stack.extend(even[1])
     except (TypeError, LookupError):
-        raise ValueError(
-            "not a tree: each node must be a (label, children) pair"
-            " with iterable children"
-        ) from None
+        raise ValueError(_NOT_A_TREE) from None
     n = len(kids)
     if max(kids, default=0) != n:
         missing = next(i for i in range(1, n + 1) if i not in kids)
@@ -172,29 +174,32 @@ def tree_stats(t) -> TreeStats:
     contributes nothing. The bare root has no first or last child and is
     rejected.
     """
-    if not t[1]:
-        raise ValueError("statistics are undefined for the bare root")
-    cdes = casc = eleaf = 0
-    stack = [(t, True)]  # (vertex with children, at even depth)
-    while stack:
-        (label, children), even = stack.pop()
-        prev = label
-        for child in children:
-            c = child[0]
-            if prev > c:
+    try:
+        if not t[1]:
+            raise ValueError("statistics are undefined for the bare root")
+        cdes = casc = eleaf = 0
+        stack = [(t, True)]  # (vertex with children, at even depth)
+        while stack:
+            (label, children), even = stack.pop()
+            prev = label
+            for child in children:
+                c = child[0]
+                if prev > c:
+                    cdes += 1
+                elif prev < c:
+                    casc += 1
+                prev = c
+                if child[1]:
+                    stack.append((child, not even))
+                elif not even:  # a leaf at even depth
+                    eleaf += 1
+            if prev > label:  # the cyclic pair (last child, own label)
                 cdes += 1
-            elif prev < c:
+            elif prev < label:
                 casc += 1
-            prev = c
-            if child[1]:
-                stack.append((child, not even))
-            elif not even:  # a leaf at even depth
-                eleaf += 1
-        if prev > label:  # the cyclic pair (last child, own label)
-            cdes += 1
-        elif prev < label:
-            casc += 1
-    return TreeStats(cdes, casc, eleaf, t[1][0][0], t[1][-1][0])
+        return TreeStats(cdes, casc, eleaf, t[1][0][0], t[1][-1][0])
+    except (TypeError, LookupError):
+        raise ValueError(_NOT_A_TREE) from None
 
 
 def _trees(spec):

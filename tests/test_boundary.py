@@ -58,6 +58,16 @@ CASES = [
             (q.zeta, NOT_PARTS),
         ]
     ],
+    # a number, or an unhashable letter, where the word, the parts or
+    # the tree go, read by a function that reads no word of its own
+    (q.stats, (1.5,), NOT_A_WORD),
+    (q.is_quasi_stirling, (1.5,), NOT_A_WORD),
+    (q.is_stirling, (1.5,), NOT_A_WORD),
+    (q.is_stirling, ([[1]],), NOT_A_WORD),
+    (q.word_to_text, (1.5,), NOT_A_WORD),
+    (q.perm_tuple_to_text, (1.5,), NOT_PARTS),
+    (q.render_tree, (1.5,), NOT_A_TREE),
+    (q.tree_stats, (1.5,), NOT_A_TREE),
     (q.complement, (1.5, 3), "n and the word values must be integers"),
     (q.PartialInj, (3, 1.5), "n and the values must be integers"),
     (q.complement, (5, 3), "n and the word values must be integers"),

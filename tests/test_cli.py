@@ -51,48 +51,24 @@ def test_enumerate_json_is_the_dumped_family(capsys):
     assert code == 0 and out == json.dumps(words, sort_keys=True) + "\n"
 
 
+def _assert_gathered(writes, sizes, lead, sep, end=None):
+    """What the enumerate writer guarantees of its writes, given the sizes
+    of the kernel's chunks and, for a whole stream, its end: every write
+    after the first starts with sep; every write but the last of a whole
+    stream holds at least 32 KB; and no write holds more than 32 KB plus
+    one chunk, besides its separators and the lead or the end."""
+    assert writes[0].startswith(lead)
+    assert all(w.startswith(sep) for w in writes[1:])
+    assert all(len(w) >= 1 << 15 for w in (writes if end is None else writes[:-1]))
+    texts = [writes[0][len(lead) :], *writes[1:]]
+    if end is not None:
+        assert texts[-1].endswith(end)
+        texts[-1] = texts[-1][: -len(end)]
+    most = (1 << 15) + max(sizes)
+    assert all(len(t) - t.count(sep) * len(sep) < most for t in texts)
+
+
 def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
-    spec = core.MultisetSpec((2, 2, 2, 2, 2))
-    want = "".join(core.word_to_text(w) + "\n" for w in core.enumerate_qs(spec))
-    writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
-    assert cli.run(["enumerate", "--mult", "2,2,2,2,2"]) == 0
-    monkeypatch.undo()
-    assert "".join(writes) == want and want.count("\n") == 5040
-    # streamed: more than one write, none holding the whole family
-    assert 1 < len(writes) and max(map(len, writes)) < len(want)
-    # the JSON array streams the same way
-    want = json.dumps(want.splitlines(), sort_keys=True) + "\n"
-    writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
-    assert cli.run(["enumerate", "--mult", "2,2,2,2,2", "--format", "json"]) == 0
-    monkeypatch.undo()
-    assert "".join(writes) == want
-    # no write holds the whole family: each word is two quotes
-    assert 1 < len(writes) and max(w.count('"') for w in writes) < 2 * 5040
-    # ten values: a line and its newline take 78 characters, not the 59
-    # of one digit per value, and each write still holds 32 KB and at
-    # most one line more; the reader takes three writes and goes
-    writes = []
-
-    def write(text):
-        writes.append(text)
-        if len(writes) == 3:
-            raise BrokenPipeError
-
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
-    assert cli.run(["enumerate", "--mult", "1,1,1,1,1,1,1,1,1,20"]) == 3
-    monkeypatch.undo()
-    assert all(1 << 15 <= len(w) < (1 << 15) + 78 for w in writes)
-    lines = "".join(writes).split("\n")
-    words = islice(core.enumerate_qs((1,) * 9 + (20,)), len(lines))
-    assert lines == [core.word_to_text(w) for w in words]
-    # (300,1,1,9,1,1): a line takes 626 characters, and the search hands
-    # over the words in chunks of several lines, each of at most
-    # core._CHUNK characters; the writes are still cut at the same
-    # offsets, the first after per_block words and each later one
-    # per_block lines on, and the reader takes four writes and goes
-    mult = (300, 1, 1, 9, 1, 1)
     kernel = core._enumerate_qs
     sizes = []
 
@@ -101,6 +77,51 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
             sizes.append(len(chunk))
             yield chunk
 
+    spec = core.MultisetSpec((2, 2, 2, 2, 2))
+    want = "".join(core.word_to_text(w) + "\n" for w in core.enumerate_qs(spec))
+    writes = []
+    monkeypatch.setattr(core, "_enumerate_qs", chunks)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.run(["enumerate", "--mult", "2,2,2,2,2"]) == 0
+    monkeypatch.undo()
+    assert "".join(writes) == want and want.count("\n") == 5040
+    # streamed: more than one write, none holding the whole family
+    assert 1 < len(writes) and max(map(len, writes)) < len(want)
+    _assert_gathered(writes, sizes, "", "\n", "\n")
+    # the JSON array streams the same way
+    want = json.dumps(want.splitlines(), sort_keys=True) + "\n"
+    writes, sizes[:] = [], []
+    monkeypatch.setattr(core, "_enumerate_qs", chunks)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert cli.run(["enumerate", "--mult", "2,2,2,2,2", "--format", "json"]) == 0
+    monkeypatch.undo()
+    assert "".join(writes) == want
+    # no write holds the whole family: each word is two quotes
+    assert 1 < len(writes) and max(w.count('"') for w in writes) < 2 * 5040
+    _assert_gathered(writes, sizes, '["', '", "', '"]\n')
+    # ten values: a line and its newline take 78 characters, not the 59
+    # of one digit per value; the reader takes three writes and goes
+    writes, sizes[:] = [], []
+
+    def write(text):
+        writes.append(text)
+        if len(writes) == 3:
+            raise BrokenPipeError
+
+    monkeypatch.setattr(core, "_enumerate_qs", chunks)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+    assert cli.run(["enumerate", "--mult", "1,1,1,1,1,1,1,1,1,20"]) == 3
+    monkeypatch.undo()
+    _assert_gathered(writes, sizes, "", "\n")
+    lines = "".join(writes).split("\n")
+    words = islice(core.enumerate_qs((1,) * 9 + (20,)), len(lines))
+    assert lines == [core.word_to_text(w) for w in words]
+    # (300,1,1,9,1,1): a line takes 626 characters, and the search hands
+    # over the words in chunks of several lines, each of at most
+    # core._CHUNK characters; every write still holds whole words, and
+    # the reader takes four writes and goes
+    mult = (300, 1, 1, 9, 1, 1)
+
     def write(text):
         writes.append(text)
         if len(writes) == 4:
@@ -108,20 +129,40 @@ def test_enumerate_writes_blocks_of_lines(capsys, monkeypatch):
 
     for fmt, lead, sep in (("lines", "", "\n"), ("json", '["', '", "')):
         line = 2 * sum(mult) - 1 + len(sep)
-        per_block = (1 << 15) // line + 1
         writes, sizes[:] = [], []
         monkeypatch.setattr(core, "_enumerate_qs", chunks)
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
         assert cli.run(["enumerate", "--mult", "300,1,1,9,1,1", "--format", fmt]) == 3
         monkeypatch.undo()
         assert len(writes) == 4 and line < max(sizes) <= core._CHUNK
-        assert len(writes[0]) == per_block * line - len(sep) + len(lead)
-        assert all(len(w) == per_block * line for w in writes[1:])
+        _assert_gathered(writes, sizes, lead, sep)
         stream = "".join(writes)
         assert stream.startswith(lead)
         lines = stream[len(lead) :].split(sep)
         words = islice(core.enumerate_qs(mult), len(lines))
         assert lines == [core.word_to_text(w) for w in words]
+
+
+def test_enumerate_prints_every_small_family(monkeypatch):
+    # every family with K <= 7, and (3,2,1,1,1,1), whose last chunk
+    # completes a write in JSON, as (2,1,1,1,1,1) does in lines: that
+    # write holds the array's last words, and one more holds "\"]\n"
+    ends = set()
+    for mult in sweeps.all_mults(7) + [(3, 2, 1, 1, 1, 1)]:
+        texts = [core.word_to_text(w) for w in sweeps.qs_words(mult)]
+        argv = ["enumerate", "--mult", ",".join(map(str, mult))]
+        for fmt, want, end in (
+            ("lines", "\n".join(texts) + "\n", "\n"),
+            ("json", json.dumps(texts) + "\n", '"]\n'),
+        ):
+            writes = []
+            monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+            code = cli.run(argv + ["--format", fmt])
+            monkeypatch.undo()
+            assert (code, "".join(writes)) == (0, want), (mult, fmt)
+            if len(writes) > 1 and writes[-1] == end:
+                ends.add(fmt)
+    assert ends == {"lines", "json"}
 
 
 def test_stats_word(capsys):
