@@ -20,6 +20,7 @@ Everything in this module is a pure function on immutable data.
 
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 from math import perm
 from operator import mul
@@ -188,6 +189,10 @@ def _flat_word(word, top=False):
 def stats(word) -> StatTriple:
     """Count ascents, descents and plateaux against the zero sentinels."""
     if not word:
+        try:
+            iter(word)  # None, 0 and False are falsy too, but no word
+        except TypeError:
+            raise ValueError("word values must be integers") from None
         return StatTriple(0, 0, 0)
     asc = des = plat = 0
     prev = 0
@@ -241,6 +246,8 @@ def is_stirling(word) -> bool:
     """True iff every value sitting between two equal values exceeds them."""
     try:
         counts = Counter(word)
+        if not counts:
+            iter(word)  # Counter(None) is empty too, but None is no word
     except TypeError:  # word is no sequence, or a value unhashable
         raise ValueError("word values must be integers") from None
     if any(c > 2 for c in counts.values()):
@@ -475,8 +482,19 @@ def qs_count(spec) -> int:
 
 def qs_polynomial(spec) -> PolyTUV:
     """Joint distribution of (des, asc, plat) over the quasi-Stirling words,
-    as a polynomial with t marking descents, u ascents, v plateaux."""
-    return _stat_polynomial(map(stats, enumerate_qs(spec)))
+    as a polynomial with t marking descents, u ascents, v plateaux.
+
+    The words are counted once per multiset and process, in
+    `_family_counts`, and each call returns a fresh polynomial."""
+    return PolyTUV(_family_counts(_as_spec(spec).mult))
+
+
+@lru_cache(maxsize=None)
+def _family_counts(mult):
+    """The ((des, asc, plat), count) pairs of the words over mult, counted
+    by `stats` over the words; one entry per multiset, of at most
+    (K + 2)(K + 3)/2 pairs. The brute-force side of the verify checks."""
+    return tuple(_stat_polynomial(map(stats, _enumerate_qs(mult))).terms.items())
 
 
 def _stat_polynomial(triples):

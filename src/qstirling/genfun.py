@@ -17,7 +17,9 @@ family polynomial is D^(n-1)(t u v^(m-1)) itself, A_n is the same at
 m = 1, and nothing is divided. It takes about n^3 integer operations,
 whatever m and the number of words. The brute-force sums over explicit
 tuples here, and `core.qs_polynomial` over the words, stay as the
-independent side of every identity check.
+independent side of every identity check; the words of each multiset
+are counted once per process and the counts shared by the six checks
+that read them (thm12, thm13, coro14, coro15, eq2, eq7).
 """
 
 from fractions import Fraction
@@ -101,14 +103,11 @@ def descent_series_coefficients(m, order):
         Fraction(j**n * comb(K - n + j, j), K - n + 1) for j in range(order + 1)
     ]
     tcoeffs = qs_polynomial(spec).t_coefficients()
-    rhs = []
-    for j in range(order + 1):
-        total = Fraction(0)
-        for d, c in enumerate(tcoeffs):
-            if d > j:
-                break
-            total += c * comb(j - d + K, K)
-        rhs.append(total)
+    # the counts are ints: each entry is summed as one and made a Fraction once
+    rhs = [
+        Fraction(sum(c * comb(j - d + K, K) for d, c in enumerate(tcoeffs[: j + 1])))
+        for j in range(order + 1)
+    ]
     return lhs, rhs
 
 

@@ -20,6 +20,11 @@ so thm22 covers the rest. thm13, coro14, coro15, eq2, eq5 and eq7 share
 `_check_agree`: the sides of each case must be equal. Only thm12, which
 compares each multiset with the first of its (n, K) class, and eq4,
 which checks two identities per injection, loop on their own.
+
+The brute-force side of thm12, thm13, coro14, coro15, eq2 and eq7 is
+`core._family_counts`: the words of each multiset, counted by
+`core.stats` once per process and shared by the six checks, directly or
+through `core.qs_polynomial`.
 """
 
 from collections import Counter
@@ -200,15 +205,19 @@ def thm12(specs):
 
 def thm13(specs):
     """Words with des = d+1 match injections with exc = d."""
+    injections = {}  # (K, r) -> the exc histogram of J_{K,r}, counted once
+
+    def sides(spec):
+        words = Counter()
+        for (des, _, _), count in core._family_counts(spec.mult):
+            words[des - 1] += count
+        K, r = spec.K, spec.K - spec.n + 1
+        if (K, r) not in injections:
+            injections[K, r] = Counter(map(excedance.exc, excedance.enumerate_J(K, r)))
+        return words, injections[K, r]
+
     return _check_agree(
-        specs,
-        lambda spec: (
-            Counter(core.stats(w).des - 1 for w in core.enumerate_qs(spec)),
-            Counter(
-                map(excedance.exc, excedance.enumerate_J(spec.K, spec.K - spec.n + 1))
-            ),
-        ),
-        lambda spec, _: "histograms differ over %s" % spec.to_text(),
+        specs, sides, lambda spec, _: "histograms differ over %s" % spec.to_text()
     )
 
 
@@ -216,7 +225,8 @@ def _coro14_counts(spec):
     """The closed-form and the brute-force count of the words over
     `spec` with the maximum descent number n."""
     expected = genfun.max_descent_count(spec)
-    return expected, sum(core.stats(w).des == spec.n for w in core.enumerate_qs(spec))
+    counts = core._family_counts(spec.mult)
+    return expected, sum(count for (des, _, _), count in counts if des == spec.n)
 
 
 def _coro14_failure(spec, counts):

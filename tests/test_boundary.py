@@ -64,6 +64,11 @@ CASES = [
     (q.is_quasi_stirling, (1.5,), NOT_A_WORD),
     (q.is_stirling, (1.5,), NOT_A_WORD),
     (q.is_stirling, ([[1]],), NOT_A_WORD),
+    # falsy, but no word: the empty-word shortcut must not take them
+    (q.stats, (None,), NOT_A_WORD),
+    (q.stats, (0,), NOT_A_WORD),
+    (q.stats, (False,), NOT_A_WORD),
+    (q.is_stirling, (None,), NOT_A_WORD),
     (q.word_to_text, (1.5,), NOT_A_WORD),
     (q.perm_tuple_to_text, (1.5,), NOT_PARTS),
     (q.render_tree, (1.5,), NOT_A_TREE),

@@ -541,6 +541,7 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
     append = lambda out: out + (99,)
     stray_path = lambda rep: rep._replace(paths=rep.paths + ((99,),))
     stray_term = lambda terms: {**terms, (99, 0, 0): 1}
+    stray_pair = lambda pairs: pairs + (((99, 0, 0), 1),)
     suite = ("--suite", "--max-K", "3")
     for owner, kernel, stray, argv, fails in (
         (bijections, "_phi", append, ("--check", "thm22", "--mult", "2,1"), ["thm22 (cases=3)"]),
@@ -552,6 +553,9 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
         (bijections, "zeta_inv", append, suite, ["zeta (cases=14)"]),
         (excedance, "to_path_cycle", stray_path, suite, ["eq4 (cases=14)"]),
         (genfun, "_gap_insertion", stray_term, suite, ["coro15 (cases=7)", "eq5 (cases=6)", "eq7 (cases=6)"]),
+        # the shared brute-force counts: patched themselves, as a patched
+        # core.stats would hide behind counts cached by an earlier test
+        (core, "_family_counts", stray_pair, suite, ["thm13 (cases=7)", "coro15 (cases=7)", "eq7 (cases=6)"]),
     ):
         real = getattr(owner, kernel)
         with monkeypatch.context() as patch:
@@ -560,6 +564,23 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
         assert (code, err) == (1, ""), (kernel, argv, err)
         got = [line[5:] for line in out.splitlines() if line.startswith("FAIL ")]
         assert got == fails, (kernel, argv, out)
+
+
+def test_brute_force_counts_are_taken_once_per_multiset():
+    # thm12, thm13, coro14, coro15, eq2 and eq7 share core._family_counts:
+    # each multiset's words are counted once, and the verdicts stay those
+    # each check gave when it counted them itself
+    core._family_counts.cache_clear()
+    specs = set()
+    for name in ("thm12", "thm13", "coro14", "coro15", "eq2", "eq7"):
+        domain = verify.sweep_domain(name, 4)
+        cases = 15 if name != "eq7" else 10
+        assert verify.run_check(name, domain, verify.DEFAULT_ORDER) == (cases, []), name
+        if name == "eq7":
+            domain = [(m,) + (1,) * (n - 1) for m, n in domain]
+        specs.update(core._as_spec(x).mult for x in domain)
+    assert len(specs) == 15
+    assert core._family_counts.cache_info().misses == len(specs)
 
 
 def test_bijection_check_names_each_broken_property():

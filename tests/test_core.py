@@ -532,6 +532,23 @@ def test_qs_polynomial_examples():
     assert q.qs_polynomial(q.MultisetSpec((1,))) == P(1, 1, 0)
 
 
+def test_qs_polynomial_copies_the_shared_counts():
+    # every call counts the words once, in core._family_counts, and hands
+    # out a fresh polynomial: editing one result leaves the next unchanged
+    spec = q.MultisetSpec((2, 1))
+    first = q.qs_polynomial(spec)
+    want = dict(first.terms)
+    first.terms[(99, 0, 0)] = 1
+    first.terms.clear()
+    assert q.qs_polynomial((2, 1)).terms == want
+    # a refused input is never stored
+    held = core._family_counts.cache_info().currsize
+    for bad in [(0, 1), (1.5,), ("1",)]:
+        with pytest.raises(ValueError):
+            q.qs_polynomial(bad)
+    assert core._family_counts.cache_info().currsize == held
+
+
 def test_qs_polynomial_counts_family():
     for mult in sweeps.all_mults(6):
         poly = q.qs_polynomial(q.MultisetSpec(mult))

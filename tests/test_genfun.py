@@ -122,6 +122,13 @@ def test_descent_series_examples():
     assert lhs == rhs == [0, 1, 2, 3]
 
 
+def test_descent_series_entries_are_fractions():
+    # the right side is summed in ints, but each entry is still a Fraction
+    for mult in sweeps.all_mults(5):
+        lhs, rhs = q.descent_series_coefficients(q.MultisetSpec(mult), 6)
+        assert all(type(c) is Fraction for c in lhs + rhs), mult
+
+
 def test_descent_series_zero_constant_term():
     for mult in [(2, 2), (3, 1), (1, 1, 1)]:
         lhs, rhs = q.descent_series_coefficients(q.MultisetSpec(mult), 5)
