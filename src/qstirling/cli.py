@@ -22,10 +22,6 @@ from . import bijections, core, excedance, genfun, trees, verify
 from .exactpoly import _decimal
 
 _DEFAULT_MAX_K = 5
-# the maps other than transport:<mult> that read --perm alone
-_WORD_MAPS = (
-    "phi-inv", "Phi", "chi", "chi-inv", "delta", "delta-inv", "zeta", "zeta-inv"
-)
 
 
 def _require(value, flag):
@@ -92,17 +88,13 @@ def _cmd_stats(args):
     if (args.perm is None) == (args.tree is None):
         raise ValueError("exactly one of --perm or --tree is required")
     if args.perm is not None:
-        word = core.word_from_text(args.perm)
-        st = core.stats(word)
-        payload = st._asdict()
-        line = "asc=%d des=%d plat=%d" % (st.asc, st.des, st.plat)
+        result = core.stats(core.word_from_text(args.perm))
     else:
         t = trees.parse_tree(args.tree)
         trees.infer_spec(t)
-        ts = trees.tree_stats(t)
-        payload = ts._asdict()
-        line = "cdes=%d casc=%d eleaf=%d first=%d last=%d" % ts
-    _emit(args, payload, line)
+        result = trees.tree_stats(t)
+    payload = result._asdict()
+    _emit(args, payload, " ".join("%s=%d" % item for item in payload.items()))
     return 0
 
 
@@ -121,59 +113,61 @@ def _cmd_count(args):
     return 0
 
 
+# Every map by name: what the name takes after ":" in --which, the flags
+# it reads in order, and its call on those flags' texts and then the
+# parameter. The calls reach each package function through its module
+# when they run, so a function patched into the module is the one called
+_MAPS = {
+    "phi": ("", ("tree",), lambda t, _: core.word_to_text(
+        bijections.phi(trees.parse_tree(t)))),
+    "phi-inv": ("", ("perm",), lambda w, _: trees.render_tree(
+        bijections.phi_inv(core.word_from_text(w)))),
+    "psi": (":<j>", ("tree",), lambda t, j: trees.render_tree(
+        bijections.psi(trees.parse_tree(t), j))),
+    "psi-inv": (":<j>", ("tree",), lambda t, j: trees.render_tree(
+        bijections.psi_inv(trees.parse_tree(t), j))),
+    "Psi": ("", ("tree",), lambda t, _: trees.render_tree(
+        bijections.big_psi(trees.parse_tree(t)))),
+    "Phi": ("", ("perm",), lambda w, _: core.word_to_text(
+        bijections.big_phi(core.word_from_text(w)))),
+    "Phi-inv": ("", ("perm", "mult"), lambda w, m, _: core.word_to_text(
+        bijections.big_phi_inv(core.word_from_text(w), core.MultisetSpec.from_text(m)))),
+    "chi": ("", ("perm",), lambda w, _: excedance._render_groups(
+        *excedance.to_path_cycle(excedance.chi(core.word_from_text(w))))),
+    "chi-inv": ("", ("perm",), lambda s, _: core.word_to_text(
+        excedance.chi_inv(_parse_inj(s)))),
+    "delta": ("", ("perm",), lambda w, _: excedance._render_groups(
+        *excedance.to_path_cycle(excedance.delta(core.word_from_text(w))))),
+    "delta-inv": ("", ("perm",), lambda s, _: core.word_to_text(
+        excedance.delta_inv(_parse_inj(s)))),
+    "zeta": ("", ("perm",), lambda a, _: core.word_to_text(
+        bijections.zeta(bijections.perm_tuple_from_text(a)))),
+    "zeta-inv": ("", ("perm",), lambda w, _: bijections.perm_tuple_to_text(
+        bijections.zeta_inv(core.word_from_text(w)))),
+    "transport": (":<mult>", ("perm",), lambda w, target: core.word_to_text(
+        bijections.transport(core.word_from_text(w), target))),
+}
+
+
 def _cmd_map(args):
     which = _require(args.which, "--which")
-    if which in ("phi", "Psi") or which.startswith(("psi:", "psi-inv:")):
-        reads = ("tree",)
-    elif which == "Phi-inv":
-        reads = ("perm", "mult")
-    elif which in _WORD_MAPS or which.startswith("transport:"):
-        reads = ("perm",)
-    else:
+    name, colon, param = which.partition(":")
+    row = _MAPS.get(name)
+    if row is None or (not colon) != (not row[0]):
         raise ValueError("unknown map %r" % which)
-    for name in ("mult", "perm", "tree"):
-        if name not in reads and getattr(args, name) is not None:
-            raise ValueError("map %s does not read --%s" % (which, name))
-    if which == "phi":
-        t = trees.parse_tree(_require(args.tree, "--tree"))
-        out = core.word_to_text(bijections.phi(t))
-    elif which == "phi-inv":
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        out = trees.render_tree(bijections.phi_inv(w))
-    elif which.startswith("psi:") or which.startswith("psi-inv:"):
-        token, _, jtext = which.partition(":")
-        j = _integer(jtext, "j in map", which)
-        t = trees.parse_tree(_require(args.tree, "--tree"))
-        fn = bijections.psi if token == "psi" else bijections.psi_inv
-        out = trees.render_tree(fn(t, j))
-    elif which == "Psi":
-        t = trees.parse_tree(_require(args.tree, "--tree"))
-        out = trees.render_tree(bijections.big_psi(t))
-    elif which == "Phi":
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        out = core.word_to_text(bijections.big_phi(w))
-    elif which == "Phi-inv":
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        target = core.MultisetSpec.from_text(_require(args.mult, "--mult"))
-        out = core.word_to_text(bijections.big_phi_inv(w, target))
-    elif which in ("chi", "delta"):
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        fn = excedance.chi if which == "chi" else excedance.delta
-        out = excedance._render_groups(*excedance.to_path_cycle(fn(w)))
-    elif which in ("chi-inv", "delta-inv"):
-        s = _parse_inj(_require(args.perm, "--perm"))
-        fn = excedance.chi_inv if which == "chi-inv" else excedance.delta_inv
-        out = core.word_to_text(fn(s))
-    elif which == "zeta":
-        a = bijections.perm_tuple_from_text(_require(args.perm, "--perm"))
-        out = core.word_to_text(bijections.zeta(a))
-    elif which == "zeta-inv":
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        out = bijections.perm_tuple_to_text(bijections.zeta_inv(w))
-    else:  # transport:<mult>
-        target = core.MultisetSpec.from_text(which.partition(":")[2])
-        w = core.word_from_text(_require(args.perm, "--perm"))
-        out = core.word_to_text(bijections.transport(w, target))
+    suffix, reads, call = row
+    for flag in ("mult", "perm", "tree"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError("map %s does not read --%s" % (which, flag))
+    # the parameter is read first, then the operands in the row's order
+    if suffix == ":<j>":
+        param = _integer(param, "j in map", which)
+    elif suffix:
+        param = core.MultisetSpec.from_text(param)
+    texts = []
+    for flag in reads:
+        texts.append(_require(getattr(args, flag), "--" + flag))
+    out = call(*texts, param)
     _emit(args, {"result": out}, out)
     return 0
 
@@ -248,9 +242,7 @@ def _format(default):
 _MULT = {"--mult": dict(dest="mult", help="multiplicities, e.g. 2,2,1")}
 _PERM = {"--perm": dict(dest="perm", help="word or map operand in its wire format")}
 _TREE = {"--tree": dict(dest="tree", help="tree in the label(child,...) grammar")}
-_WHICH = {"--which": dict(dest="which", help=(
-    "phi|phi-inv|psi:<j>|psi-inv:<j>|Psi|Phi|Phi-inv|chi|chi-inv|"
-    "delta|delta-inv|zeta|zeta-inv|transport:<mult>"))}
+_WHICH = {"--which": dict(dest="which", help="|".join(k + v[0] for k, v in _MAPS.items()))}
 _CHECKS = {
     "--check": dict(dest="check", help="|".join(sorted(verify.CHECKS))),
     "--suite": dict(

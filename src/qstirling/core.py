@@ -188,12 +188,6 @@ def _flat_word(word, top=False):
 
 def stats(word) -> StatTriple:
     """Count ascents, descents and plateaux against the zero sentinels."""
-    if not word:
-        try:
-            iter(word)  # None, 0 and False are falsy too, but no word
-        except TypeError:
-            raise ValueError("word values must be integers") from None
-        return StatTriple(0, 0, 0)
     asc = des = plat = 0
     prev = 0
     try:
@@ -207,7 +201,8 @@ def stats(word) -> StatTriple:
             prev = v
     except TypeError:  # word is no sequence, or a value no number
         raise ValueError("word values must be integers") from None
-    des += 1  # trailing sentinel: prev > 0
+    if asc or des or plat:  # a letter was read: the trailing sentinel
+        des += 1
     return StatTriple(asc, des, plat)
 
 
@@ -225,6 +220,7 @@ def is_quasi_stirling(word) -> bool:
     first = {}
     last = {}
     try:
+        word = tuple(word)  # read once: the scan below reads it again
         for pos, v in enumerate(word):
             if v not in first:
                 first[v] = pos
@@ -245,9 +241,8 @@ def is_quasi_stirling(word) -> bool:
 def is_stirling(word) -> bool:
     """True iff every value sitting between two equal values exceeds them."""
     try:
+        word = tuple(word)  # read once: counted, then scanned
         counts = Counter(word)
-        if not counts:
-            iter(word)  # Counter(None) is empty too, but None is no word
     except TypeError:  # word is no sequence, or a value unhashable
         raise ValueError("word values must be integers") from None
     if any(c > 2 for c in counts.values()):

@@ -394,6 +394,51 @@ def test_map_errors(capsys):
         assert "invalid literal" not in err, which
 
 
+# operands of every kind a map reads: valid ones, ones of another map's
+# family or format, and malformed ones
+MAP_OPERANDS = {
+    "tree": ["0(2(2),1)", "0(1,2(2))", "0(1(1),2)", "0(1(2))", "0("],
+    "perm": [
+        "2,2,1", "2,1,1", "1,3,1,2", "1,2,1,2", "3,1|2", "4:4,2", "<3><1,4>(2)", "0", "x", ""
+    ],
+    "mult": ["1,2", "2,1", "x"],
+}
+# texts after ":" in --which, by what the map's name takes there
+MAP_PARAMETERS = {"": ["1"], ":<j>": ["1", "2", "x", ""], ":<mult>": ["1,3", "2,1", "x", ""]}
+
+
+def test_every_map_exits_zero_or_two(capsys):
+    # each row of the map table, under valid, malformed and wrong-family
+    # operands, missing operands and operands it does not read: exit 2 is
+    # one error line and no output, exit 0 prints the same on a rerun
+    calls = 0
+    for name, (suffix, reads, _) in cli._MAPS.items():
+        whiches = [name] + [name + ":" + param for param in MAP_PARAMETERS[suffix]]
+        argvs = []
+        for which in whiches:
+            head = ["map", "--which", which]
+            operands = [[]]
+            for flag in reads:
+                operands = [o + ["--" + flag, v] for o in operands for v in MAP_OPERANDS[flag]]
+            argvs += [head + o for o in operands]
+            for flag in ("mult", "perm", "tree"):  # one operand missing, or one unread
+                given = [f for f in reads if f != flag] if flag in reads else [*reads, flag]
+                argvs.append(head + [x for f in given for x in ("--" + f, MAP_OPERANDS[f][0])])
+        passed = 0
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 2), argv
+            if code == 2:
+                assert out == "" and err.startswith("error: "), argv
+                assert err.count("\n") == 1, argv
+            else:
+                assert err == "" and run_cli(capsys, *argv) == (0, out, ""), argv
+                passed += 1
+        assert passed, name  # the operands above hold a valid one
+        calls += len(argvs)
+    assert calls > 400
+
+
 def test_verify_single_check_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "coro14", "--mult", "2,2,2")
     assert code == 0

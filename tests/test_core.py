@@ -178,6 +178,43 @@ def test_recognizers_match_oracles():
                 assert q.is_quasi_stirling(w)
 
 
+def _outcome(fn, *args):
+    """repr of what fn returns, or the text of the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def test_word_functions_read_a_one_shot_iterator_as_its_tuple():
+    # each public function that takes a word reads it once, so iter(w)
+    # gets the answer tuple(w) gets, right or refused
+    words = [(), (0,), (1, 3), (2, 1, 2), (1, 2, 1, 2), (-1, 1)]
+    for mult in sweeps.all_mults(4):
+        words += oracles.multiset_permutations(mult)
+    one_arg = (
+        q.stats, q.is_quasi_stirling, q.is_stirling, q.word_to_text, q.word_spec,
+        q.phi_inv, q.big_phi, q.max_descent_decompose, q.zeta_inv, q.chi, q.delta,
+    )
+    answered = 0
+    for w in map(tuple, words):
+        mult = tuple(Counter(w)[v] for v in range(1, max(w, default=0) + 1))
+        valid = w and min(w) > 0 and all(mult)  # a word over the multiset mult
+        target = mult[::-1] if valid else (1,)
+        calls = [(fn, w) for fn in one_arg] + [
+            (q.complement, w, max(w, default=1)),
+            (q.transport, w, target),
+            (q.big_phi_inv, w, target),
+        ]
+        if valid and q.is_quasi_stirling(w):
+            calls.append((q.big_phi_inv, q.big_phi(w), mult))  # flattened, mapped back
+        for fn, word, *rest in calls:
+            want = _outcome(fn, word, *rest)
+            assert _outcome(fn, iter(word), *rest) == want, (fn.__name__, word)
+            answered += not want.startswith("ValueError")
+    assert answered > 1000
+
+
 def test_enumeration_differential_and_count():
     # the family equals the filtered arrangements, in strict lex order,
     # and its size follows the closed formula

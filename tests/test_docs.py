@@ -1,5 +1,6 @@
 """The demos run, the README's command-line examples print what the
-README says they print, the test oracles import nothing from the
+README says they print, the README names each map of the `map` table
+and the flags it reads, the test oracles import nothing from the
 package, no parser but core._numbers runs int(), every check but thm12
 and eq4 runs one of verify's shared loops, excedance imports nothing
 from bijections, and every name the benchmark tracer wraps exists."""
@@ -56,6 +57,28 @@ def test_readme_cli_examples(capsys):
         code = cli.run(argv)
         out = capsys.readouterr().out
         assert (code, out) == (0, expected), argv
+
+
+def test_readme_names_the_map_table():
+    # the `map --which` paragraph lists the rows of cli._MAPS in order,
+    # each with what its name takes after ":", and says which flags they read
+    text = (ROOT / "README.md").read_text()
+    (paragraph,) = re.findall(r"^`map --which` accepts (.*?)\n\n", text, re.M | re.S)
+    paragraph = " ".join(paragraph.split())
+
+    def maps(part):
+        return [name for name in re.findall(r"`([^`]+)`", part) if not name.startswith("-")]
+
+    def rows(flag):
+        return [k + v[0] for k, v in cli._MAPS.items() if flag in v[1]]
+
+    listed, _, rest = paragraph.partition(". ")
+    assert maps(listed) == [k + v[0] for k, v in cli._MAPS.items()]
+    tree, _, rest = rest.partition(" read `--tree`, every other map reads `--perm`,")
+    assert maps(tree.rpartition(". ")[2]) == rows("tree")
+    assert all(("tree" in v[1]) != ("perm" in v[1]) for v in cli._MAPS.values())
+    assert rest.startswith(" and only `Phi-inv` reads `--mult`")
+    assert rows("mult") == ["Phi-inv"]
 
 
 def imported_names(path):
