@@ -15,8 +15,10 @@ them (the underscored helpers) trust it. Every kernel runs on explicit
 stacks, without recursion, so tree depth is bounded by memory only. The
 word maps go word -> tree of [label, children] lists -> psi steps ->
 word in linear passes: value-indexed lists find the odd vertices of
-each step, a run of equal steps walks up the tree once, and _phi reads
-the list tree as it reads a tuple tree. The tree maps psi, psi_inv and
+each step, a run of equal steps walks up the tree once and moves its
+copies as two list slices around its one case-1 step, and _phi reads
+the list tree as it reads a tuple tree; one loop counts a word's copies
+and finds any crossing before that. The tree maps psi, psi_inv and
 big_psi take the same path behind phi: tree -> word -> list tree -> psi
 steps -> word -> tree.
 
@@ -29,16 +31,28 @@ sequences into a single word.
 from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, _as_spec, _expect, _flat_word, _integers, _numbers
-from .core import _indexable, _read_word, is_quasi_stirling, stats, word_to_text
+from .core import _indexable, _word_values, stats, word_to_text
 from .trees import infer_spec
 
 
 def _checked_word(w):
-    # the kernels tell labels by class, so they get the ints read here
-    w, spec = _read_word(w)
-    if not is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
-    return w, spec
+    # the kernels tell labels by class, so they get the ints read here;
+    # one pass counts the copies and finds a crossing a b a b: a repeat
+    # of v closes every value opened after v, and no closed value recurs
+    w, n = _word_values(w)
+    counts = [0] * (n + 1)
+    closed = bytearray(n + 1)
+    stack = []  # the values opened and not closed, in order
+    for v in w:
+        if counts[v]:
+            if closed[v]:
+                raise ValueError("word is not quasi-Stirling")
+            while stack[-1] != v:
+                closed[stack.pop()] = 1
+        else:
+            stack.append(v)
+        counts[v] += 1
+    return w, MultisetSpec(counts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +144,9 @@ def phi_inv(w):
 # subtree off the path from odd[dst] to the root and keeps the box; after
 # case 1 the new odd[src] lies below the new odd[dst], so the rest of the
 # run is case 2, and the old box, now under odd[dst], never matches again.
+# So a run is a slice of case-2 steps, at most one case-1 step and a
+# second slice; a slice moves the last children of odd[src], those after
+# the box, to the end of odd[dst]'s, last first and relabeled dst.
 
 
 def _word_tree(w, mult):
@@ -170,24 +187,42 @@ def _psi_step(odd, up, src, dst, count=1):
     box = up[dst]
     while box[0] != src and box[0]:  # stop at the root, label 0
         box = up[box[0]]
-    for _ in range(count):
+    while count:
+        kids = odd[src][1]
+        if kids[-1] is not box:
+            # the case-2 steps: the children after the box, at most count
+            if count == 1:
+                v = kids.pop()
+                v[0] = dst
+                odd[dst][1].append(v)
+                return
+            moved = kids[-count:]
+            moved.reverse()
+            for v in moved:
+                if v is box:
+                    # those before it now read dst and the box src, so
+                    # index tells them apart by their labels alone
+                    del moved[moved.index(box) :]
+                    break
+                v[0] = dst
+            odd[dst][1] += moved
+            del kids[-len(moved) :]
+            count -= len(moved)
+            if not count:
+                return
+        # the case-1 step: the box, now the last child of odd[src], moves
+        count -= 1
         osrc = odd[src]
         odst = odd[dst]
-        w = osrc[1][-1]
-        if w is not box:
-            osrc[1].pop()
-            w[0] = dst
-            odst[1].append(w)
-            continue
-        pos = w[1].index(odst) if up[dst] is w else -1
-        w[0] = dst
+        pos = box[1].index(odst) if up[dst] is box else -1
+        box[0] = dst
         osrc[0] = dst
         odst[0] = src
-        osrc[1], odst[1] = _case1_attach_order(odst[1], w), osrc[1][:-1]
+        osrc[1], odst[1] = _case1_attach_order(odst[1], box), osrc[1][:-1]
         odd[src], odd[dst] = odst, osrc
         up[src], up[dst] = up[dst], up[src]
         if pos >= 0:
-            w[1] = _rotate_to_front_order(w[1], pos)
+            box[1] = _rotate_to_front_order(box[1], pos)
 
 
 def _shifted_mult(t, j, up):

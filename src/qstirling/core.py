@@ -125,7 +125,7 @@ def _numbers(text, what, whole=None, strip=False):
 def word_from_text(text):
     """Parse the comma-separated wire format; blank text is the empty word."""
     word = _numbers(_expect(text, str, "word text"), "word text", strip=True)
-    if any(v < 1 for v in word):
+    if word and min(word) < 1:
         raise ValueError("word values must be positive")
     return word
 
@@ -146,11 +146,12 @@ def word_spec(word):
     return _read_word(word)[1]
 
 
-def _read_word(word):
-    """The word as a tuple of ints and its MultisetSpec, read once."""
+def _word_values(word):
+    """The word as a tuple of ints and its number n of values, each of
+    1..n present; the callers count the copies as they read it."""
     word = _integers(word, "word values must be integers")
     if not word:
-        return word, MultisetSpec(())
+        return word, 0
     if min(word) < 1:
         raise ValueError("word values must be positive")
     present = set(word)
@@ -158,7 +159,13 @@ def _read_word(word):
         # sought among the distinct values: the maximum may be astronomical
         missing = next(v for v in range(1, len(present) + 1) if v not in present)
         raise ValueError("value %d is absent from %r" % (missing, word))
-    counts = [0] * (len(present) + 1)
+    return word, len(present)
+
+
+def _read_word(word):
+    """The word as a tuple of ints and its MultisetSpec, read once."""
+    word, n = _word_values(word)
+    counts = [0] * (n + 1)
     for v in word:
         counts[v] += 1
     return word, MultisetSpec(counts[1:])

@@ -1,13 +1,14 @@
 """The tree/word correspondence, the multiplicity-shift maps, flattening,
 transport, the max-descent decomposition and the tuple fold."""
 
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
 import qstirling as q
 import sweeps
-from qstirling import bijections, verify
+from qstirling import bijections, core, verify
 
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -46,9 +47,11 @@ WORD_MAPS = [
     "fn, word, rest", WORD_MAPS, ids=[fn.__name__ for fn, _, _ in WORD_MAPS]
 )
 def test_word_maps_read_any_sequence_of_integers(fn, word, rest):
-    # each map reads its word once, through core._read_word, and its
-    # kernel gets those ints: a list, a generator, and True in place of
-    # 1 give what the tuple gives, down to the class of every label
+    # each map reads its word once, through bijections._checked_word
+    # (phi_inv, big_phi, big_phi_inv, transport) or core._flat_word (the
+    # others), and its kernel gets those ints: a list, a generator, and
+    # True in place of 1 give what the tuple gives, down to the class of
+    # every label
     expected = repr(fn(word, *rest))
     for given in (
         list(word),
@@ -56,6 +59,30 @@ def test_word_maps_read_any_sequence_of_integers(fn, word, rest):
         tuple(True if v == 1 else v for v in word),
     ):
         assert repr(fn(given, *rest)) == expected
+
+
+def _read_then_recognize(w):
+    # the two checks _checked_word folds into one loop
+    w, spec = core._read_word(w)
+    if not q.is_quasi_stirling(w):
+        raise ValueError("word is not quasi-Stirling")
+    return w, spec
+
+
+def _outcome(check, w):
+    try:
+        return check(w)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def test_checked_word_agrees_with_the_two_checks_it_replaces():
+    words = [(), (0,), (1.5,)]
+    for length in range(1, 8):
+        words.extend(product(range(1, 5), repeat=length))
+    for w in words:
+        expected = _outcome(_read_then_recognize, w)
+        assert _outcome(bijections._checked_word, w) == expected, w
 
 
 def test_phi_rejects_invalid():
@@ -119,6 +146,46 @@ def test_psi_step_undone_by_the_exchanged_step():
                     assert (repr(root), list(map(id, odd)), list(map(id, up))) == before
                     cases += 1
     assert cases == 7228
+
+
+def _vertices(root):
+    """Every [label, children] list of a list tree, in preorder."""
+    out = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(reversed(v[1]))
+    return out
+
+
+def test_psi_run_equals_its_single_steps():
+    # a run of count steps moves its case-2 steps as slices: it must
+    # leave the very tree, vertex objects and indexes that count single
+    # steps leave, matched vertex by vertex across two copies of the tree
+    cases = 0
+    for mult in sweeps.all_mults(6):
+        for w in sweeps.qs_words(mult):
+            for j in range(2, len(mult) + 1):
+                for src, dst in ((j, j - 1), (j - 1, j)):
+                    for count in range(2, mult[src - 1]):
+                        steps = bijections._word_tree(w, mult)
+                        run = bijections._word_tree(w, mult)
+                        match = {
+                            id(a): b
+                            for a, b in zip(_vertices(steps[0]), _vertices(run[0]))
+                        }
+                        for _ in range(count):
+                            bijections._psi_step(steps[1], steps[2], src, dst)
+                        bijections._psi_step(run[1], run[2], src, dst, count)
+                        assert repr(steps[0]) == repr(run[0])
+                        for a, b in zip(_vertices(steps[0]), _vertices(run[0])):
+                            assert match[id(a)] is b
+                        for index in (1, 2):
+                            for a, b in zip(steps[index][1:], run[index][1:]):
+                                assert match[id(a)] is b
+                        cases += 1
+    assert cases == 1390
 
 
 def test_psi_rejects():

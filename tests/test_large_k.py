@@ -120,6 +120,28 @@ def test_psi_runs_read_the_holders_less_than_k_squared_times(monkeypatch):
     assert all(0 < up.reads < k * k for up in made), [up.reads for up in made]
 
 
+def test_psi_runs_read_the_odd_vertices_a_few_times_per_run(monkeypatch):
+    # a run moves its case-2 steps as slices around its one case-1 step,
+    # so it looks up odd[src] and odd[dst] a few times, not once per step
+    word_tree = bijections._word_tree
+    made = []
+
+    def counted(w, mult):
+        root, odd, up = word_tree(w, mult)
+        made.append(_CountingList(odd))
+        return root, made[-1], up
+
+    monkeypatch.setattr(bijections, "_word_tree", counted)
+    w = oracles.random_quasi_stirling(HIGH, seed=3)
+    runs = len(bijections._shift_schedule(HIGH))
+    steps = (HIGH_K - HIGH_N) * (HIGH_N - 1)
+    assert q.big_phi_inv(q.big_phi(w), HIGH) == w
+    assert len(made) == 2
+    assert all(0 < odd.reads <= 10 * runs < steps for odd in made), [
+        odd.reads for odd in made
+    ]
+
+
 def test_depth_4000_tree_through_the_cli(capsys):
     word = ",".join(map(str, list(range(1, 2001)) + list(range(2000, 0, -1))))
     assert cli.run(["map", "--which", "phi-inv", "--perm", word]) == 0
