@@ -17,8 +17,7 @@ word maps go word -> tree of [label, children] lists -> psi steps ->
 word in linear passes: value-indexed lists find the odd vertices of
 each step, a run of equal steps walks up the tree once and moves its
 copies as two list slices around its one case-1 step, and _phi reads
-the list tree as it reads a tuple tree; one loop counts a word's copies
-and finds any crossing before that. The tree maps psi, psi_inv and
+the list tree as it reads a tuple tree. The tree maps psi, psi_inv and
 big_psi take the same path behind phi: tree -> word -> list tree -> psi
 steps -> word -> tree.
 
@@ -31,28 +30,16 @@ sequences into a single word.
 from itertools import combinations_with_replacement, permutations
 
 from .core import MultisetSpec, _as_spec, _expect, _flat_word, _integers, _numbers
-from .core import _indexable, _word_values, stats, word_to_text
+from .core import _indexable, _read_word, is_quasi_stirling, stats, word_to_text
 from .trees import infer_spec
 
 
 def _checked_word(w):
-    # the kernels tell labels by class, so they get the ints read here;
-    # one pass counts the copies and finds a crossing a b a b: a repeat
-    # of v closes every value opened after v, and no closed value recurs
-    w, n = _word_values(w)
-    counts = [0] * (n + 1)
-    closed = bytearray(n + 1)
-    stack = []  # the values opened and not closed, in order
-    for v in w:
-        if counts[v]:
-            if closed[v]:
-                raise ValueError("word is not quasi-Stirling")
-            while stack[-1] != v:
-                closed[stack.pop()] = 1
-        else:
-            stack.append(v)
-        counts[v] += 1
-    return w, MultisetSpec(counts[1:])
+    # the kernels tell labels by class, so they get the ints read here
+    w, spec = _read_word(w)
+    if not is_quasi_stirling(w):
+        raise ValueError("word is not quasi-Stirling")
+    return w, spec
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +178,12 @@ def _psi_step(odd, up, src, dst, count=1):
         kids = odd[src][1]
         if kids[-1] is not box:
             # the case-2 steps: the children after the box, at most count
-            if count == 1:
-                v = kids.pop()
-                v[0] = dst
-                odd[dst][1].append(v)
-                return
             moved = kids[-count:]
             moved.reverse()
             for v in moved:
                 if v is box:
-                    # those before it now read dst and the box src, so
-                    # index tells them apart by their labels alone
-                    del moved[moved.index(box) :]
+                    while moved.pop() is not box:
+                        pass  # the box and the children before it stay
                     break
                 v[0] = dst
             odd[dst][1] += moved

@@ -146,12 +146,11 @@ def word_spec(word):
     return _read_word(word)[1]
 
 
-def _word_values(word):
-    """The word as a tuple of ints and its number n of values, each of
-    1..n present; the callers count the copies as they read it."""
+def _read_word(word):
+    """The word as a tuple of ints and its MultisetSpec, read once."""
     word = _integers(word, "word values must be integers")
     if not word:
-        return word, 0
+        return word, MultisetSpec(())
     if min(word) < 1:
         raise ValueError("word values must be positive")
     present = set(word)
@@ -159,13 +158,7 @@ def _word_values(word):
         # sought among the distinct values: the maximum may be astronomical
         missing = next(v for v in range(1, len(present) + 1) if v not in present)
         raise ValueError("value %d is absent from %r" % (missing, word))
-    return word, len(present)
-
-
-def _read_word(word):
-    """The word as a tuple of ints and its MultisetSpec, read once."""
-    word, n = _word_values(word)
-    counts = [0] * (n + 1)
+    counts = [0] * (len(present) + 1)
     for v in word:
         counts[v] += 1
     return word, MultisetSpec(counts[1:])
@@ -224,24 +217,25 @@ def _tuple_stats(parts):
 
 def is_quasi_stirling(word) -> bool:
     """True iff no two distinct values occur in the crossing pattern abab."""
-    first = {}
-    last = {}
     try:
-        word = tuple(word)  # read once: the scan below reads it again
-        for pos, v in enumerate(word):
-            if v not in first:
-                first[v] = pos
-            last[v] = pos
+        word = tuple(word)  # read once: hashed whole, then scanned
+        set(word)  # an unhashable value is refused before any verdict
     except TypeError:  # word is no sequence, or a value unhashable
         raise ValueError("word values must be integers") from None
-    stack = []
-    for pos, v in enumerate(word):
-        if first[v] == pos:
+    # a repeat of v closes every value opened after v; a closed value
+    # seen again is the crossing
+    seen = set()
+    closed = set()
+    stack = []  # the values opened and not closed, in order
+    for v in word:
+        if v in seen:
+            if v in closed:
+                return False
+            while stack[-1] != v:
+                closed.add(stack.pop())
+        else:
+            seen.add(v)
             stack.append(v)
-        elif stack[-1] != v:
-            return False
-        if last[v] == pos:
-            stack.pop()
     return True
 
 

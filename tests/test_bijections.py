@@ -1,14 +1,13 @@
 """The tree/word correspondence, the multiplicity-shift maps, flattening,
 transport, the max-descent decomposition and the tuple fold."""
 
-from itertools import product
 from math import comb, factorial
 
 import pytest
 
 import qstirling as q
 import sweeps
-from qstirling import bijections, core, verify
+from qstirling import bijections, verify
 
 FIGURE_WORD = (2, 7, 4, 7, 5, 6, 3, 3, 5, 1, 5)
 FIGURE_TREE = "0(2,7(7(4)),5(5(6,3(3)),5(1)))"
@@ -59,30 +58,6 @@ def test_word_maps_read_any_sequence_of_integers(fn, word, rest):
         tuple(True if v == 1 else v for v in word),
     ):
         assert repr(fn(given, *rest)) == expected
-
-
-def _read_then_recognize(w):
-    # the two checks _checked_word folds into one loop
-    w, spec = core._read_word(w)
-    if not q.is_quasi_stirling(w):
-        raise ValueError("word is not quasi-Stirling")
-    return w, spec
-
-
-def _outcome(check, w):
-    try:
-        return check(w)
-    except ValueError as e:
-        return "ValueError: %s" % e
-
-
-def test_checked_word_agrees_with_the_two_checks_it_replaces():
-    words = [(), (0,), (1.5,)]
-    for length in range(1, 8):
-        words.extend(product(range(1, 5), repeat=length))
-    for w in words:
-        expected = _outcome(_read_then_recognize, w)
-        assert _outcome(bijections._checked_word, w) == expected, w
 
 
 def test_phi_rejects_invalid():

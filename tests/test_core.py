@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import factorial
 from types import SimpleNamespace
 
@@ -176,6 +176,16 @@ def test_recognizers_match_oracles():
             assert q.is_stirling(w) == oracles.cubic_stirling(w)
             if q.is_stirling(w):
                 assert q.is_quasi_stirling(w)
+
+
+def test_quasi_stirling_scan_matches_the_oracle_on_words_with_gaps():
+    # the one-loop scan closes the values above a repeat; every word of
+    # length <= 7 over 1..4, gaps and all, and words of other hashables
+    words = [(), ("a", "b", "a", "b"), ("a", "b", "b", "a"), (1, 2.5, 1, 2.5)]
+    for length in range(1, 8):
+        words.extend(product(range(1, 5), repeat=length))
+    for w in words:
+        assert q.is_quasi_stirling(w) == oracles.quartic_quasi_stirling(w), w
 
 
 def _outcome(fn, *args):
