@@ -217,15 +217,20 @@ class PolyTUV:
 class SeriesT:
     """Power series in one formal variable, truncated at a fixed order.
 
-    Coefficients may be ints, Fractions, or PolyTUV values; arithmetic
-    never leaves the truncation order. Index k holds the coefficient of
-    the k-th power.
+    Coefficients must be ints, Fractions, or PolyTUV values (anything
+    else, a float included, is a ValueError); arithmetic never leaves
+    the truncation order. Index k holds the coefficient of the k-th power.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
+        try:
+            coeffs = list(coeffs)
+        except TypeError:
+            raise ValueError("the coefficients must be a sequence") from None
+        if not all(isinstance(c, (int, Fraction, PolyTUV)) for c in coeffs):
+            raise ValueError("coefficients must be ints, Fractions or PolyTUV values")
         if order is None:
             order = len(coeffs) - 1
         (order,) = _integers((order,), "the order must be an integer")

@@ -233,13 +233,6 @@ def _coro14_failure(spec, counts):
     return "count over %s: expected %d, got %d" % (spec.to_text(), *counts)
 
 
-def max_descent_check(spec):
-    """Coro 14 over one multiset: (closed-form, brute-force, failures),
-    the failures as `coro14` reports them."""
-    counts = _coro14_counts(spec)
-    return (*counts, _check_agree([spec], lambda _: counts, _coro14_failure)[1])
-
-
 def coro14(specs):
     """Closed count of maximally descending words vs brute force."""
     return _check_agree(specs, _coro14_counts, _coro14_failure)

@@ -1,11 +1,11 @@
-"""Cached exhaustive sweeps shared across test modules.
+"""Multiset sweeps and cached word families shared across test modules.
 
-The acceptance tests run first (alphabetical collection order) and
-populate these caches; the per-module tests then reuse them. Everything
-is keyed by plain tuples so lru_cache applies.
+`all_mults` lists the multisets a sweep runs over; `qs_words` caches
+each family the module tests read, keyed by the multiplicity tuple so
+lru_cache applies. The acceptance criteria read their families through
+the package's own cache, `core._family_counts`, via `qstirling.verify`.
 """
 
-from collections import Counter
 from functools import lru_cache
 
 import qstirling as q
@@ -30,15 +30,3 @@ def all_mults(max_K):
 def qs_words(mult):
     """The full quasi-Stirling family of a multiset, as a tuple."""
     return tuple(q.enumerate_qs(q.MultisetSpec(mult)))
-
-
-@lru_cache(maxsize=None)
-def stat_hist(mult):
-    """Counter over (des, asc, plat) triples of the family."""
-    return Counter((s.des, s.asc, s.plat) for s in map(q.stats, qs_words(mult)))
-
-
-@lru_cache(maxsize=None)
-def exc_hist(n, r):
-    """Counter over excedance counts of the injective sequences J_{n,r}."""
-    return Counter(q.exc(s) for s in q.enumerate_J(n, r))

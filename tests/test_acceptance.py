@@ -3,7 +3,7 @@
 Each test prints a single `[PASS]`/`[FAIL]` line (visible with
 `pytest tests/test_acceptance.py -v -s`) and then asserts. The sweep
 criteria run the full advertised ranges, so this module carries most of
-the suite's runtime. Criteria 03-05, 11 and 12 drive the package's
+the suite's runtime. Criteria 03-06 and 08-12 drive the package's
 verification engine over domains built here from `sweeps.all_mults`,
 and assert that it ran exactly the closed-form number of cases; the
 mutation check corrupts the re-attachment rule to prove the engine's
@@ -11,7 +11,6 @@ sweeps can actually fail.
 """
 
 import time
-from collections import Counter
 
 import qstirling as q
 from qstirling import bijections, verify
@@ -46,12 +45,15 @@ def _engine_failures(result, expected_cases):
 
 # Closed-form domain sizes. Every multiset with K <= 8 contributes its
 # family size K!/(K-n+1)!; the shift sweep at K <= 7 counts each family
-# once per value j >= 2 of multiplicity at least 2; there are 2^7 - 1
-# multisets with K <= 7 and 21 pairs with m + n <= 7, whose anchored
-# tuple families have (m+n-1)!/m! members.
+# once per value j >= 2 of multiplicity at least 2; there are 2^K - 1
+# multisets with size up to K, 63 of them with K <= 7 and n <= 3 (the
+# sum over K of 1 + (K-1) + C(K-1, 2)), and 21 pairs with m + n <= 7,
+# whose anchored tuple families have (m+n-1)!/m! members.
 FAMILIES_UP_TO_8 = 436628
 SHIFTS_UP_TO_7 = 40189
 MULTISETS_UP_TO_7 = 127
+MULTISETS_UP_TO_8 = 255
+THREE_VALUES_UP_TO_7 = 63
 TUPLE_PAIRS = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)]
 ANCHORED_TUPLES = 1498
 
@@ -128,18 +130,8 @@ def test_criterion_05_flattening():
 
 
 def test_criterion_06_composition_invariance():
-    failures = []
-    groups = {}
-    for mult in sweeps.all_mults(7):
-        if len(mult) <= 3:
-            groups.setdefault((len(mult), sum(mult)), []).append(mult)
-    for (n, K), members in sorted(groups.items()):
-        reference = sweeps.stat_hist(members[0])
-        for mult in members[1:]:
-            if sweeps.stat_hist(mult) != reference:
-                failures.append(
-                    "(n=%d, K=%d): %s differs from %s" % (n, K, mult, members[0])
-                )
+    specs = [spec for spec in _specs(7) if spec.n <= 3]
+    failures = _engine_failures(verify.thm12(specs), THREE_VALUES_UP_TO_7)
     _report(
         6,
         "equal-(n, K) multisets share the whole joint distribution, "
@@ -170,15 +162,7 @@ def test_criterion_07_worked_injection_example():
 
 
 def test_criterion_08_descent_excedance_histograms():
-    failures = []
-    for mult in sweeps.all_mults(8):
-        spec = q.MultisetSpec(mult)
-        des_hist = Counter()
-        for (d, _, _), c in sweeps.stat_hist(mult).items():
-            des_hist[d] += c
-        exc_counts = sweeps.exc_hist(spec.K, spec.K - spec.n + 1)
-        if des_hist != Counter({d + 1: c for d, c in exc_counts.items()}):
-            failures.append("histograms differ over %s" % (mult,))
+    failures = _engine_failures(verify.thm13(_specs(8)), MULTISETS_UP_TO_8)
     _report(
         8,
         "descent counts match excedance counts of the injection "
@@ -188,15 +172,7 @@ def test_criterion_08_descent_excedance_histograms():
 
 
 def test_criterion_09_max_descent_counts():
-    failures = []
-    for mult in sweeps.all_mults(8):
-        spec = q.MultisetSpec(mult)
-        expected = q.max_descent_count(spec)
-        got = sum(
-            c for (d, _, _), c in sweeps.stat_hist(mult).items() if d == spec.n
-        )
-        if got != expected:
-            failures.append("%s: expected %d, got %d" % (mult, expected, got))
+    failures = _engine_failures(verify.coro14(_specs(8)), MULTISETS_UP_TO_8)
     for mult, value in (((2, 2), 3), ((2, 2, 2), 16), ((3, 1, 1), 9)):
         if q.max_descent_count(q.MultisetSpec(mult)) != value:
             failures.append("spot value at %s" % (mult,))
@@ -209,13 +185,7 @@ def test_criterion_09_max_descent_counts():
 
 
 def test_criterion_10_coefficient_extraction():
-    failures = []
-    for mult in sweeps.all_mults(8):
-        spec = q.MultisetSpec(mult)
-        if spec.n > 5:
-            continue
-        if q.qs_polynomial_from_series(spec) != q.qs_polynomial(spec):
-            failures.append("polynomials differ over %s" % (mult,))
+    failures = _engine_failures(verify.coro15(_specs(8)), MULTISETS_UP_TO_8)
     P = q.PolyTUV.monomial
     spot = q.qs_polynomial_from_series(q.MultisetSpec((2, 2)))
     if spot != 2 * P(2, 2, 1) + P(1, 2, 2) + P(2, 1, 2):
@@ -223,7 +193,7 @@ def test_criterion_10_coefficient_extraction():
     _report(
         10,
         "series coefficient extraction reproduces every brute-force "
-        "polynomial, size up to 8 with at most 5 values",
+        "polynomial, every multiset up to size 8",
         failures,
     )
 

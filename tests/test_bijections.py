@@ -415,19 +415,3 @@ def test_perm_tuple_values_must_be_integers():
             q.zeta(bad)
         with pytest.raises(ValueError, match="integers"):
             q.check_perm_tuple(bad)
-
-
-def test_zeta_bijection_with_statistics():
-    for m in range(1, 6):
-        for n in range(1, 7 - m):
-            mult = (m,) + (1,) * (n - 1)
-            seen = set()
-            for a in q.enumerate_perm_tuples(m, n, anchored=True):
-                w = q.zeta(a)
-                assert q.zeta_inv(w) == a
-                st = q.stats(w)
-                assert st.asc == sum(q.stats(p).asc for p in a if p)
-                assert st.des == sum(q.stats(p).des for p in a if p)
-                assert st.plat == sum(1 for p in a if not p)
-                seen.add(w)
-            assert seen == set(sweeps.qs_words(mult))

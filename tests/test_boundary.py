@@ -88,6 +88,13 @@ CASES = [
     (q.PartialInj.from_text, (5,), "partial injection text must be a str"),
     (q.parse_tree, (5,), "tree text must be a str"),
     (q.parse_path_cycle, (5,), "path-cycle text must be a str"),
+    # a series is built from exact coefficients only
+    (q.SeriesT, (None,), "the coefficients must be a sequence"),
+    (q.SeriesT, (5,), "the coefficients must be a sequence"),
+    *[
+        (q.SeriesT, (coeffs,), "coefficients must be ints, Fractions or PolyTUV values")
+        for coeffs in ([0.5], "ab", [None])
+    ],
 ]
 
 

@@ -528,14 +528,46 @@ def test_verify_suite_trivial_bound(capsys):
         assert "thm23" in err
 
 
+def _plus_one(fn, only=None):
+    """fn with one added to its value, over every argument or, given
+    `only`, over the multiset with those multiplicities alone."""
+    return lambda *args, **kw: fn(*args, **kw) + (only is None or args[0].mult == only)
+
+
+# (check, --mult, module, name, corruption of module.name, the lines output,
+# the one failure the JSON report names): one side of each agreement check
+# is corrupted, and the check must fail at the case it ran
+VERIFY_FAILURES = [
+    ("thm12", "2,1", core, "qs_polynomial", lambda fn: _plus_one(fn, (2, 1)),
+     "FAIL thm12 (cases=2)", "distribution over 2,1 differs from 1,2"),
+    ("thm13", "2,2", excedance, "exc", _plus_one,
+     "FAIL thm13 (cases=1)", "histograms differ over 2,2"),
+    ("coro14", "2,2", genfun, "max_descent_count", lambda fn: lambda spec: 999,
+     "FAIL coro14 (cases=1) expected 999, got 3", "count over 2,2: expected 999, got 3"),
+    ("coro15", "2,2", genfun, "qs_polynomial_from_series", _plus_one,
+     "FAIL coro15 (cases=1)", "polynomials differ over 2,2"),
+    ("eq2", "2,2", genfun, "qs_polynomial", _plus_one,
+     "FAIL eq2 (cases=1)", "series sides differ over 2,2"),
+    ("eq5", "2,2", genfun, "perm_tuple_polynomial_formula", _plus_one,
+     "FAIL eq5 (cases=1)", "tuple polynomial differs at m=2, n=2"),
+    ("eq7", "2,2", genfun, "perm_tuple_polynomial_formula", _plus_one,
+     "FAIL eq7 (cases=1)", "anchored polynomial differs at m=2, n=2"),
+]
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(genfun, "max_descent_count", lambda spec: 999)
-    code, out, _ = run_cli(capsys, "verify", "--check", "coro14", "--mult", "2,2")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["pass"] is False
-    assert payload["failure_count"] == 1
-    assert payload["got"] == 3 and payload["expected"] == 999
+    for check, mult, module, name, corrupt, line, failure in VERIFY_FAILURES:
+        argv = ("verify", "--check", check, "--mult", mult)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, corrupt(getattr(module, name)))
+            lines = run_cli(capsys, *argv, "--format", "lines")
+            code, out, _ = run_cli(capsys, *argv)
+        assert lines == (1, line + "\n", ""), check
+        payload = json.loads(out)
+        assert (code, payload["pass"], payload["failure_count"]) == (1, False, 1), check
+        assert payload["failures"] == [failure], check
+        # the check passes again once the corruption is lifted
+        assert run_cli(capsys, *argv)[0] == 0, check
 
 
 def test_verify_requires_check_or_suite(capsys):

@@ -2,8 +2,9 @@
 README says they print, the README names each map of the `map` table
 and the flags it reads, the test oracles import nothing from the
 package, no parser but core._numbers runs int(), every check but thm12
-and eq4 runs one of verify's shared loops, excedance imports nothing
-from bijections, and every name the benchmark tracer wraps exists."""
+and eq4 runs one of verify's shared loops, the acceptance criteria call
+every check of the CLI, excedance imports nothing from bijections, and
+every name the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qstirling import cli
+from qstirling import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -164,6 +165,20 @@ def test_every_check_but_two_runs_a_shared_loop():
         }
 
     assert {name for name in checks if not called(name) & loops} == {"thm12", "eq4"}
+
+
+def test_acceptance_criteria_call_every_check():
+    # a criterion that sweeps an identity calls the CLI's own check, so
+    # one that goes back to a hand-written loop fails here
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "verify"
+    }
+    assert set(verify.CHECKS) - called == set()
 
 
 def test_excedance_imports_nothing_from_bijections():

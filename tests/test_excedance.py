@@ -1,7 +1,6 @@
 """Partial injections, excedances, path-cycle notation and the two
 word-to-injection bijections."""
 
-from collections import Counter
 from math import factorial
 
 import pytest
@@ -257,12 +256,3 @@ def test_delta_bijection_with_descents():
                 factorial(n + m - 1) // factorial(m),
                 [],
             )
-
-
-def test_descent_histogram_matches_excedances_small():
-    # the end-to-end correspondence over arbitrary multisets
-    for mult in sweeps.all_mults(6):
-        spec = q.MultisetSpec(mult)
-        des_hist = Counter(q.stats(w).des for w in sweeps.qs_words(mult))
-        exc_counts = sweeps.exc_hist(spec.K, spec.K - spec.n + 1)
-        assert des_hist == Counter({d + 1: c for d, c in exc_counts.items()})

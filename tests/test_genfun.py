@@ -61,14 +61,6 @@ def test_qs_polynomial_from_series_examples():
     assert q.qs_polynomial_from_series(q.MultisetSpec((1,))) == P(1, 1, 0)
 
 
-def test_qs_polynomial_from_series_matches_brute_force():
-    for mult in sweeps.all_mults(6):
-        spec = q.MultisetSpec(mult)
-        got = q.qs_polynomial_from_series(spec)
-        assert got == q.qs_polynomial(spec)
-        assert got.is_integral()
-
-
 @pytest.mark.parametrize("mult", [(10,) * 6, (2,) * 40, (3,) * 60])
 def test_extraction_beyond_enumeration(mult):
     # (10,)*6 has 6.6e8 words, (2,)*40 about 2.1e69 and (3,)*60 about
@@ -136,12 +128,6 @@ def test_descent_series_zero_constant_term():
         assert len(lhs) == len(rhs) == 6
 
 
-def test_descent_series_agrees_everywhere_small():
-    for mult in sweeps.all_mults(6):
-        lhs, rhs = q.descent_series_coefficients(q.MultisetSpec(mult), 6)
-        assert lhs == rhs
-
-
 def test_descent_series_rejects_negative_order():
     with pytest.raises(ValueError, match="order must be non-negative"):
         q.descent_series_coefficients(q.MultisetSpec((2, 2)), -1)
@@ -168,30 +154,12 @@ def test_max_descent_count_values():
     assert q.max_descent_count(q.MultisetSpec((3, 1, 1))) == 9
 
 
-def test_max_descent_count_matches_brute_force():
-    for mult in sweeps.all_mults(6):
-        spec = q.MultisetSpec(mult)
-        got = sum(1 for w in sweeps.qs_words(mult) if q.stats(w).des == spec.n)
-        assert got == q.max_descent_count(spec)
-
-
 def test_perm_tuple_polynomial_examples():
     assert q.perm_tuple_polynomial(2, 2, anchored=True) == (
         P(1, 2, 1) + P(2, 1, 1) + P(2, 2, 0)
     )
     assert q.perm_tuple_polynomial(1, 1, anchored=True) == P(1, 1, 0)
     assert q.perm_tuple_polynomial(1, 1) == P(1, 1, 0)
-
-
-def test_perm_tuple_polynomial_formula_agreement():
-    for m in range(1, 6):
-        for n in range(1, 7 - m):
-            brute = q.perm_tuple_polynomial(m, n)
-            formula = q.perm_tuple_polynomial_formula(m, n)
-            assert brute == formula
-            anchored = q.perm_tuple_polynomial(m, n, anchored=True)
-            assert anchored == q.perm_tuple_polynomial_formula(m, n, anchored=True)
-            assert anchored == q.qs_polynomial(q.MultisetSpec((m,) + (1,) * (n - 1)))
 
 
 def test_perm_tuple_anchor_symmetry():
