@@ -228,7 +228,7 @@ class SeriesT:
         try:
             coeffs = list(coeffs)
         except TypeError:
-            raise ValueError("the coefficients must be a sequence") from None
+            raise ValueError("the coefficients must be an iterable") from None
         if not all(isinstance(c, (int, Fraction, PolyTUV)) for c in coeffs):
             raise ValueError("coefficients must be ints, Fractions or PolyTUV values")
         if order is None:

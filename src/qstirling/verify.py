@@ -221,7 +221,7 @@ def thm13(specs):
     )
 
 
-def _coro14_counts(spec):
+def coro14_counts(spec):
     """The closed-form and the brute-force count of the words over
     `spec` with the maximum descent number n."""
     expected = genfun.max_descent_count(spec)
@@ -235,7 +235,7 @@ def _coro14_failure(spec, counts):
 
 def coro14(specs):
     """Closed count of maximally descending words vs brute force."""
-    return _check_agree(specs, _coro14_counts, _coro14_failure)
+    return _check_agree(specs, coro14_counts, _coro14_failure)
 
 
 def coro15(specs):

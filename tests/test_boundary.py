@@ -89,8 +89,8 @@ CASES = [
     (q.parse_tree, (5,), "tree text must be a str"),
     (q.parse_path_cycle, (5,), "path-cycle text must be a str"),
     # a series is built from exact coefficients only
-    (q.SeriesT, (None,), "the coefficients must be a sequence"),
-    (q.SeriesT, (5,), "the coefficients must be a sequence"),
+    (q.SeriesT, (None,), "the coefficients must be an iterable"),
+    (q.SeriesT, (5,), "the coefficients must be an iterable"),
     *[
         (q.SeriesT, (coeffs,), "coefficients must be ints, Fractions or PolyTUV values")
         for coeffs in ([0.5], "ab", [None])

@@ -535,28 +535,29 @@ def _plus_one(fn, only=None):
 
 
 # (check, --mult, module, name, corruption of module.name, the lines output,
-# the one failure the JSON report names): one side of each agreement check
-# is corrupted, and the check must fail at the case it ran
+# the one failure the JSON report names, the report's extra fields): one side
+# of each agreement check is corrupted, and the check must fail at the case it ran
 VERIFY_FAILURES = [
     ("thm12", "2,1", core, "qs_polynomial", lambda fn: _plus_one(fn, (2, 1)),
-     "FAIL thm12 (cases=2)", "distribution over 2,1 differs from 1,2"),
+     "FAIL thm12 (cases=2)", "distribution over 2,1 differs from 1,2", {}),
     ("thm13", "2,2", excedance, "exc", _plus_one,
-     "FAIL thm13 (cases=1)", "histograms differ over 2,2"),
+     "FAIL thm13 (cases=1)", "histograms differ over 2,2", {}),
     ("coro14", "2,2", genfun, "max_descent_count", lambda fn: lambda spec: 999,
-     "FAIL coro14 (cases=1) expected 999, got 3", "count over 2,2: expected 999, got 3"),
+     "FAIL coro14 (cases=1) expected 999, got 3", "count over 2,2: expected 999, got 3",
+     {"expected": 999, "got": 3, "report": "expected 999, got 3"}),
     ("coro15", "2,2", genfun, "qs_polynomial_from_series", _plus_one,
-     "FAIL coro15 (cases=1)", "polynomials differ over 2,2"),
+     "FAIL coro15 (cases=1)", "polynomials differ over 2,2", {}),
     ("eq2", "2,2", genfun, "qs_polynomial", _plus_one,
-     "FAIL eq2 (cases=1)", "series sides differ over 2,2"),
+     "FAIL eq2 (cases=1)", "series sides differ over 2,2", {}),
     ("eq5", "2,2", genfun, "perm_tuple_polynomial_formula", _plus_one,
-     "FAIL eq5 (cases=1)", "tuple polynomial differs at m=2, n=2"),
+     "FAIL eq5 (cases=1)", "tuple polynomial differs at m=2, n=2", {}),
     ("eq7", "2,2", genfun, "perm_tuple_polynomial_formula", _plus_one,
-     "FAIL eq7 (cases=1)", "anchored polynomial differs at m=2, n=2"),
+     "FAIL eq7 (cases=1)", "anchored polynomial differs at m=2, n=2", {}),
 ]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    for check, mult, module, name, corrupt, line, failure in VERIFY_FAILURES:
+    for check, mult, module, name, corrupt, line, failure, extras in VERIFY_FAILURES:
         argv = ("verify", "--check", check, "--mult", mult)
         with monkeypatch.context() as patch:
             patch.setattr(module, name, corrupt(getattr(module, name)))
@@ -566,6 +567,8 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         payload = json.loads(out)
         assert (code, payload["pass"], payload["failure_count"]) == (1, False, 1), check
         assert payload["failures"] == [failure], check
+        common = {"check", "pass", "cases", "failure_count", "failures"}
+        assert {k: v for k, v in payload.items() if k not in common} == extras, check
         # the check passes again once the corruption is lifted
         assert run_cli(capsys, *argv)[0] == 0, check
 
