@@ -406,7 +406,7 @@ def perm_tuple_from_text(text):
 def perm_tuple_to_text(parts):
     try:
         return "|".join(map(word_to_text, parts))
-    except TypeError:  # parts is no sequence
+    except (TypeError, ValueError):  # parts, or a part, is no integer sequence
         raise ValueError("parts must be sequences of integers") from None
 
 

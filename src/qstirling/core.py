@@ -131,9 +131,9 @@ def word_from_text(text):
 
 
 def word_to_text(word):
-    try:
-        return ",".join(str(v) for v in word)
-    except TypeError:  # word is no sequence
+    try:  # int.__repr__ refuses a value that is no int, as str() would not
+        return ",".join(map(int.__repr__, word))
+    except TypeError:  # word is no sequence, or a value no int
         raise ValueError("word values must be integers") from None
 
 
@@ -323,41 +323,38 @@ def _indexable(K):
 
 def _enumerate_qs(mult, unit=None, sep=None):
     """The words of the family in lex order: tuples; given the text piece
-    unit[v] of each letter v, texts; given sep too, the chunks of _walk."""
+    unit[v] of each letter v and the separator sep, the chunks of _walk."""
     n = len(mult)
     cap = (0, *mult)
     K = _indexable(sum(cap))
     if n < 2:  # one word; n = 0: the empty one
         return iter([(1,) * K if unit is None else (unit[n] * K)[1:]])
     if unit is not None:  # a text word drops the comma of its first piece
-        width = sum(map(mul, map(len, unit), cap)) - 1 + len(sep or "\0")
-        if sep is not None:
-            return _walk(cap, unit, sep, 1, width)
-        return chain.from_iterable(c.split("\0") for c in _walk(cap, unit, "\0", 1, width))
+        return _walk(cap, unit, sep, 1)
     # each letter v is the byte v, or past 255 the character v, and zip
     # cuts the words out of the letters
     if n < 256:
-        letters = chain.from_iterable(_walk(cap, _BYTES, b"", 0, K))
+        letters = chain.from_iterable(_walk(cap, _BYTES, b"", 0))
     elif n < 0x110000:
-        letters = map(ord, chain.from_iterable(_walk(cap, [*map(chr, range(n + 1))], "", 0, K)))
+        letters = map(ord, chain.from_iterable(_walk(cap, [*map(chr, range(n + 1))], "", 0)))
     else:
         raise ValueError("%d distinct values are too many to enumerate as tuples" % n)
     return zip(*[letters] * K)
 
 
-def _walk(cap, unit, sep, lead, width):
+def _walk(cap, unit, sep, lead):
     """The words of the family with the counts cap[1:], n >= 2, in lex
     order, each letter v written as the piece unit[v] (bytes or text),
-    in chunks of whole words joined by sep, each word width characters
-    with its sep: chunks of at most _CHUNK characters or two words, and
-    one word at a time where more do not fit. A word drops the first
-    lead characters of its first piece. Each depth keeps the next value
-    to try there and, below a state that makes one chunk, the strings
-    built so far for the state it builds."""
+    in chunks of whole words joined by sep: chunks of at most _CHUNK
+    characters or two words, and one word at a time where more do not
+    fit. A word drops the first lead characters of its first piece. Each
+    depth keeps the next value to try there and, below a state that
+    makes one chunk, the strings built so far for the state it builds."""
     n = len(cap) - 1
     K = copies = sum(cap)  # copies of the fresh values
     mark = "\0" if isinstance(sep, str) else b"\0"
     empty = mark[:0]
+    width = sum(map(mul, map(len, unit), cap)) - lead + len(sep)  # a word, its sep
     most = max(2, _CHUNK // width)  # completions in one chunk
     memo, held = _Memo(), 0
     stack, placed = [], [0] * (n + 1)

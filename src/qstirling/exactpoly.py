@@ -70,13 +70,21 @@ class PolyTUV:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # the one place where terms merge: exponents must be integers
-        # (read through operator.index, so 0.5 or 1.9 is refused, not
-        # truncated) and coefficients ints or Fractions
+        # the one place where terms merge, in one pass: each term is a
+        # pair ((e_t, e_u, e_v), c), the exponents integers (read through
+        # operator.index, so 0.5 or 1.9 is refused, not truncated) and c
+        # an int or a Fraction
         data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (et, eu, ev), c in items:
+        if terms is not None:
+            try:
+                items = iter(terms.items() if isinstance(terms, dict) else terms)
+            except TypeError:
+                raise ValueError("terms must be ((e_t, e_u, e_v), c) pairs") from None
+            for term in items:
+                try:
+                    (et, eu, ev), c = term
+                except (TypeError, ValueError):
+                    raise ValueError("terms must be ((e_t, e_u, e_v), c) pairs") from None
                 try:
                     key = (index(et), index(eu), index(ev))
                 except TypeError:

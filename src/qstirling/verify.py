@@ -8,9 +8,10 @@ series order. `sweep_domain` gives the domain every check sweeps under
 a size bound, and `verify_suite` runs all of them over it.
 
 The bijection checks thm22 (phi), thm23 (psi), thm11 (big_phi) and zeta
-share one loop, `_check_bijection`: each image must lie in the target
-family, tested before any other kernel runs on it, keep the statistics
-and map back to its source, and the images must cover the family.
+share one loop, `_check_bijection`, which takes all the families of a
+check, one case each: each image must lie in the target family, tested
+before any other kernel runs on it, keep the statistics and map back to
+its source, and the images must cover the family.
 thm22, thm23 and thm11 run the kernels on the trees and words they
 enumerate, which are valid by construction, not the public maps, which
 would validate them again. thm23 and thm11 both check `_transport`
@@ -39,8 +40,12 @@ DEFAULT_ORDER = 8
 
 def compositions(total, parts):
     """The ordered sequences of `parts` positive integers summing to
-    `total` >= 1, in lex order, read off their parts - 1 cut points in
-    1..total-1; a total past sys.maxsize is a ValueError at the call."""
+    `total`, in lex order, read off their parts - 1 cut points in
+    1..total-1. Arguments that are no integers or below 1, or a total
+    past sys.maxsize, are a ValueError at the call."""
+    total, parts = core._integers((total, parts), "total and parts must be integers")
+    if min(total, parts) < 1:
+        raise ValueError("total and parts must be at least 1")
     cuts = combinations(range(1, core._indexable(total)), parts - 1)
     return (tuple(map(sub, (*inner, total), (0, *inner))) for inner in cuts)
 
@@ -67,28 +72,32 @@ def sweep_domain(name, max_K):
     ]
 
 
-def _check_bijection(name, sources, forward, inverse, family, same_stats, tag, over):
-    """(cases, failures) for `forward` as a bijection from `sources` onto
-    the set `family`. Per source x, in this order: y = forward(x) is in
-    `family`, same_stats(x, y) holds and inverse(y) == x; then the images
-    cover `family`. tag(x) and `over` name x and the family in a failure."""
-    cases = 0
+def _check_bijection(name, cases):
+    """(cases, failures) summed over the families of a check, each a case
+    (sources, forward, inverse, family, same_stats, tag, over): per source
+    x, in this order, y = forward(x) is in the set `family`,
+    same_stats(x, y) holds and inverse(y) == x; then the images cover
+    `family`. tag(x) and `over` name x and the family in a failure. A case
+    runs to the end before the next is drawn, so its functions may read
+    the loop variables of the generator that made it."""
+    count = 0
     failures = []
-    images = set()
-    for x in sources:
-        cases += 1
-        y = forward(x)
-        if y not in family:
-            failures.append("%s image outside the family at %s" % (name, tag(x)))
-            continue
-        if not same_stats(x, y):
-            failures.append("%s statistics changed at %s" % (name, tag(x)))
-        if inverse(y) != x:
-            failures.append("%s round trip failed at %s" % (name, tag(x)))
-        images.add(y)
-    if images != family:
-        failures.append("%s image over %s is not the whole family" % (name, over))
-    return cases, failures
+    for sources, forward, inverse, family, same_stats, tag, over in cases:
+        images = set()
+        for x in sources:
+            count += 1
+            y = forward(x)
+            if y not in family:
+                failures.append("%s image outside the family at %s" % (name, tag(x)))
+                continue
+            if not same_stats(x, y):
+                failures.append("%s statistics changed at %s" % (name, tag(x)))
+            if inverse(y) != x:
+                failures.append("%s round trip failed at %s" % (name, tag(x)))
+            images.add(y)
+        if images != family:
+            failures.append("%s image over %s is not the whole family" % (name, over))
+    return count, failures
 
 
 def _check_agree(items, sides, message):
@@ -104,16 +113,6 @@ def _check_agree(items, sides, message):
     return cases, failures
 
 
-def _total(results):
-    """The (cases, failures) pairs of several runs, summed."""
-    cases = 0
-    failures = []
-    for c, f in results:
-        cases += c
-        failures += f
-    return cases, failures
-
-
 def _phi_stats_agree(t, w):
     ws = core.stats(w)
     return trees.tree_stats(t) == (ws.des, ws.asc, ws.plat, w[0], w[-1])
@@ -121,35 +120,29 @@ def _phi_stats_agree(t, w):
 
 def thm22(specs):
     """phi: bijection onto the word family, carrying all five statistics."""
-    return _total(
-        _check_bijection(
-            "phi",
-            trees._trees(spec),
-            bijections._phi,
-            partial(bijections._phi_inv, mult=spec.mult),
-            set(core.enumerate_qs(spec)),
-            _phi_stats_agree,
-            lambda t: "tree " + trees.render_tree(t),
-            spec.to_text(),
-        )
-        for spec in specs
-    )
+    return _check_bijection("phi", ((
+        trees._trees(spec),
+        bijections._phi,
+        partial(bijections._phi_inv, mult=spec.mult),
+        set(core.enumerate_qs(spec)),
+        _phi_stats_agree,
+        lambda t: "tree " + trees.render_tree(t),
+        spec.to_text(),
+    ) for spec in specs))
 
 
-def _shift_check(name, specs, shifts):
-    """psi runs as bijections between word families. shifts(spec) yields
-    (runs, target, suffix, over): `_transport` with the runs must carry
-    the words over spec onto those over target, keeping (asc, des, plat);
-    a failure names the word plus `suffix`, and the family as `over`."""
+def _shift_cases(specs, shifts):
+    """The cases of psi runs between word families: shifts(spec) yields
+    (runs, target, suffix, over), and `_transport` with the runs must
+    carry the words over spec onto those over target, keeping (asc, des,
+    plat); a failure names the word plus `suffix`, and the family `over`."""
     transport = bijections._transport
-    results = []
     families = {}  # target multiplicities -> its family, enumerated once
     for spec in specs:
         for runs, target, suffix, over in shifts(spec):
             if target.mult not in families:
                 families[target.mult] = set(core.enumerate_qs(target))
-            results.append(_check_bijection(
-                name,
+            yield (
                 core.enumerate_qs(spec),
                 lambda w: transport(w, spec.mult, runs, ()),
                 lambda w: transport(w, target.mult, (), runs),
@@ -157,8 +150,7 @@ def _shift_check(name, specs, shifts):
                 lambda w, w2: core.stats(w) == core.stats(w2),
                 lambda w: core.word_to_text(w) + suffix,
                 over,
-            ))
-    return _total(results)
+            )
 
 
 def _single_shifts(spec):
@@ -175,15 +167,15 @@ def thm23(specs):
     """psi: each step j -> j-1 on the words is invertible, statistic-
     preserving and onto the shifted family. psi on trees is phi_inv after
     this step after phi, and thm22 checks phi and phi_inv."""
-    return _shift_check("psi", specs, _single_shifts)
+    return _check_bijection("psi", _shift_cases(specs, _single_shifts))
 
 
 def thm11(specs):
     """big_phi: bijection onto the flattened family, triple preserved."""
-    return _shift_check("big_phi", specs, lambda spec: [(
+    return _check_bijection("big_phi", _shift_cases(specs, lambda spec: [(
         bijections._shift_schedule(spec.mult),
         bijections.flattened_spec(spec), "", spec.to_text(),
-    )])
+    )]))
 
 
 def thm12(specs):
@@ -284,19 +276,15 @@ def eq7(pairs):
 
 def zeta(pairs):
     """zeta: bijection with the three additive statistic identities."""
-    return _total(
-        _check_bijection(
-            "zeta",
-            bijections.enumerate_perm_tuples(m, n, anchored=True),
-            bijections.zeta,
-            bijections.zeta_inv,
-            set(core.enumerate_qs(core.MultisetSpec((m,) + (1,) * (n - 1)))),
-            lambda a, w: core._tuple_stats(a) == core.stats(w),
-            bijections.perm_tuple_to_text,
-            "m=%d, n=%d" % (m, n),
-        )
-        for m, n in pairs
-    )
+    return _check_bijection("zeta", ((
+        bijections.enumerate_perm_tuples(m, n, anchored=True),
+        bijections.zeta,
+        bijections.zeta_inv,
+        set(core.enumerate_qs(core.MultisetSpec((m,) + (1,) * (n - 1)))),
+        lambda a, w: core._tuple_stats(a) == core.stats(w),
+        bijections.perm_tuple_to_text,
+        "m=%d, n=%d" % (m, n),
+    ) for m, n in pairs))
 
 
 def eq4(pairs):

@@ -69,18 +69,6 @@ def test_phi_rejects_invalid():
     assert q.phi_inv(()) == (0, ())
 
 
-def test_phi_statistics_and_round_trip_small():
-    for mult in sweeps.all_mults(5):
-        spec = q.MultisetSpec(mult)
-        for t in q.enumerate_trees(spec):
-            w = q.phi(t)
-            ts = q.tree_stats(t)
-            st = q.stats(w)
-            assert (ts.cdes, ts.casc, ts.eleaf) == (st.des, st.asc, st.plat)
-            assert (ts.first, ts.last) == (w[0], w[-1])
-            assert q.phi_inv(w) == t
-
-
 # -- psi ---------------------------------------------------------------
 
 
@@ -181,24 +169,24 @@ def test_psi_rejects():
 
 
 def test_psi_round_trip_and_statistics_small():
-    for mult in sweeps.all_mults(6):
-        spec = q.MultisetSpec(mult)
-        trees = list(q.enumerate_trees(spec))
-        for j in range(2, spec.n + 1):
-            if mult[j - 1] < 2:
-                continue
-            shifted = list(mult)
-            shifted[j - 2] += 1
-            shifted[j - 1] -= 1
-            target = q.MultisetSpec(tuple(shifted))
-            images = set()
-            for t in trees:
-                t2 = q.psi(t, j)
-                assert q.validate_tree(t2, target)
-                assert q.tree_stats(t)[:3] == q.tree_stats(t2)[:3]
-                assert q.psi_inv(t2, j) == t
-                images.add(t2)
-            assert len(images) == len(trees)
+    # psi on trees through verify's bijection loop: each image lies in
+    # the shifted family and keeps (cdes, casc, eleaf), psi_inv undoes
+    # it, and the images cover the family
+    def cases():
+        for mult in sweeps.all_mults(6):
+            # thm23's shifts: the run ((j, 1),) moves a copy of j to j - 1
+            for ((j, _),), target, _, over in verify._single_shifts(q.MultisetSpec(mult)):
+                yield (
+                    q.enumerate_trees(mult),
+                    lambda t: q.psi(t, j),
+                    lambda t: q.psi_inv(t, j),
+                    set(q.enumerate_trees(target)),
+                    lambda t, t2: q.tree_stats(t)[:3] == q.tree_stats(t2)[:3],
+                    q.render_tree,
+                    over,
+                )
+
+    assert verify._check_bijection("psi", cases()) == (3614, [])
 
 
 # -- big_psi / big_phi -------------------------------------------------
@@ -229,19 +217,6 @@ def test_big_phi_examples():
         q.big_phi((1, 2, 1, 2))
 
 
-def test_big_phi_round_trip_small():
-    for mult in sweeps.all_mults(6):
-        spec = q.MultisetSpec(mult)
-        flat = q.flattened_spec(spec)
-        images = set()
-        for w in sweeps.qs_words(mult):
-            w2 = q.big_phi(w)
-            assert q.stats(w) == q.stats(w2)
-            assert q.big_phi_inv(w2, spec) == w
-            images.add(w2)
-        assert images == set(sweeps.qs_words(flat.mult))
-
-
 def test_big_phi_inv_rejects_wrong_shape():
     with pytest.raises(ValueError):
         q.big_phi_inv((1, 2, 2, 1), q.MultisetSpec((2, 2)))  # flat form would be (3, 1)
@@ -268,18 +243,27 @@ def test_transport_identity_and_errors():
 
 
 def test_transport_is_statistic_preserving_bijection():
-    for K in range(2, 7):
-        for n in range(1, 4):
-            mults = [m for m in sweeps.compositions(K) if len(m) == n]
-            for target_mult in mults[:2]:
-                target = q.MultisetSpec(target_mult)
-                for mult in mults:
-                    images = set()
-                    for w in sweeps.qs_words(mult):
-                        out = q.transport(w, target)
-                        assert q.stats(out) == q.stats(w)
-                        images.add(out)
-                    assert images == set(sweeps.qs_words(target_mult))
+    # transport onto two targets of each (K, n) through verify's
+    # bijection loop: each image lies in the target family and keeps the
+    # statistics, transport back to the source multiset undoes it, and
+    # the images cover the family
+    def cases():
+        for K in range(2, 7):
+            for n in range(1, 4):
+                specs = [q.MultisetSpec(m) for m in sweeps.compositions(K) if len(m) == n]
+                for target in specs[:2]:
+                    for spec in specs:
+                        yield (
+                            sweeps.qs_words(spec.mult),
+                            lambda w: q.transport(w, target),
+                            lambda w: q.transport(w, spec),
+                            set(sweeps.qs_words(target.mult)),
+                            lambda w, w2: q.stats(w) == q.stats(w2),
+                            q.word_to_text,
+                            "%s from %s" % (target.to_text(), spec.to_text()),
+                        )
+
+    assert verify._check_bijection("transport", cases()) == (1061, [])
 
 
 def test_suite_catches_a_skipped_rotation(monkeypatch):

@@ -12,6 +12,7 @@ NOT_SEQUENCES = "paths and cycles must be sequences of sequences"
 NOT_INTEGERS = "path and cycle elements must be integers"
 NOT_A_WORD = "word values must be integers"
 NOT_PARTS = "parts must be sequences of integers"
+NOT_PAIRS = r"terms must be \(\(e_t, e_u, e_v\), c\) pairs"
 TOO_LARGE = "K = 100000000000000000000 is too large to enumerate"
 MALFORMED_TREES = [(0, 5), (0, ((1, None),)), 0]
 
@@ -71,6 +72,9 @@ CASES = [
     (q.is_stirling, (None,), NOT_A_WORD),
     (q.word_to_text, (1.5,), NOT_A_WORD),
     (q.perm_tuple_to_text, (1.5,), NOT_PARTS),
+    # a letter that is no integer, which str() would have written out
+    *[(q.word_to_text, (word,), NOT_A_WORD) for word in ([1, None], "ab", [1.5])],
+    *[(q.perm_tuple_to_text, (parts,), NOT_PARTS) for parts in ([[1, None]], [5])],
     (q.render_tree, (1.5,), NOT_A_TREE),
     (q.tree_stats, (1.5,), NOT_A_TREE),
     (q.complement, (1.5, 3), "n and the word values must be integers"),
@@ -88,6 +92,8 @@ CASES = [
     (q.PartialInj.from_text, (5,), "partial injection text must be a str"),
     (q.parse_tree, (5,), "tree text must be a str"),
     (q.parse_path_cycle, (5,), "path-cycle text must be a str"),
+    # a polynomial is built from ((e_t, e_u, e_v), c) pairs only
+    *[(q.PolyTUV, (terms,), NOT_PAIRS) for terms in (5, [5], {(1, 2): 1}, "ab")],
     # a series is built from exact coefficients only
     (q.SeriesT, (None,), "the coefficients must be an iterable"),
     (q.SeriesT, (5,), "the coefficients must be an iterable"),

@@ -591,6 +591,14 @@ def test_verify_library_rejects_bad_arguments():
             call()
     with pytest.raises(ValueError, match="unknown check 'bogus'; .*eq4, .*thm23, zeta$"):
         verify.run_check("bogus", [], 8)
+    # compositions(0, 1) gave [(0,)], with no positive part; the others
+    # raised TypeError or itertools' own message
+    for args in ((3.0, 1), (None, 2), (3, 1.5)):
+        with pytest.raises(ValueError, match="total and parts must be integers"):
+            verify.compositions(*args)
+    for args in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError, match="total and parts must be at least 1"):
+            verify.compositions(*args)
 
 
 def test_verify_honours_order_zero(capsys, monkeypatch):
@@ -673,7 +681,7 @@ def test_bijection_check_names_each_broken_property():
     ):
         tag = "x=%d".__mod__
         return verify._check_bijection(
-            "inc", range(5), forward, inverse, family, same_stats, tag, "1..5"
+            "inc", [(range(5), forward, inverse, family, same_stats, tag, "1..5")]
         )
 
     assert check() == (5, [])

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import factorial
 from types import SimpleNamespace
 
@@ -277,33 +277,27 @@ def test_enumeration_properties_at_fourteen_letters():
     assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in words)
 
 
-def test_text_kernel_spells_the_tuple_words():
-    # pieces of unequal widths, as the CLI's ",10" is wider than ",9";
-    # each piece opens with a separator, which the word's first one drops
-    for mult in sweeps.all_mults(7) + [(3, 1, 3, 2, 1)]:
-        unit = ["," + "x" * v for v in range(len(mult) + 1)]
-        want = [",".join("x" * v for v in w) for w in sweeps.qs_words(mult)]
-        assert list(core._enumerate_qs(mult, unit)) == want, mult
-
-
 @pytest.mark.parametrize("sep", ["\n", '", "'])
 def test_text_chunks_are_the_words_joined(monkeypatch, sep):
     # given a separator, the text search yields the words in chunks of
     # whole words, each of at most _CHUNK characters unless it is two
-    # words: joined by it, the chunks are the words joined by it, in
-    # pieces of unequal widths
+    # words: joined by it, the chunks are the tuple words joined by it,
+    # written in pieces of unequal widths, as the CLI's ",10" is wider
+    # than ",9"; each piece opens with a separator, which the word's
+    # first one drops
     def chunks_and_words(mult, limit=None):
         unit = ["," + "x" * v for v in range(len(mult) + 1)]
         chunks = list(islice(core._enumerate_qs(mult, unit, sep), limit))
         text = sep.join(chunks)
-        words = list(islice(core._enumerate_qs(mult, unit), text.count(sep) + 1))
+        tuples = islice(q.enumerate_qs(mult), text.count(sep) + 1)
+        words = [",".join("x" * v for v in w) for w in tuples]
         assert text == sep.join(words), mult
         assert max(map(len, chunks)) <= max(core._CHUNK, 2 * len(words[0]) + len(sep)), mult
         return len(chunks), len(words)
 
     # (60,60): a state with one fresh value has more words than a chunk
     # holds, and hands them over one at a time
-    for mult in sweeps.all_mults(7) + [(60, 60)]:
+    for mult in sweeps.all_mults(7) + [(60, 60), (3, 1, 3, 2, 1)]:
         assert chunks_and_words(mult)[1] == q.qs_count(mult)
     chunks, words = chunks_and_words((1, 3, 1, 1, 3, 2))
     assert words == q.qs_count((1, 3, 1, 1, 3, 2)) > 40 * chunks
@@ -412,16 +406,16 @@ def test_enumeration_across_memo_evictions(monkeypatch, mult):
     kept = recorded_memo(monkeypatch)
     monkeypatch.setattr(core, "_MEMO_CHARS", 300)
     words = list(core._enumerate_qs(mult))
-    texts = list(core._enumerate_qs(mult, unit))
+    text = "\n".join(core._enumerate_qs(mult, unit, "\n"))
     built = [key for key, _ in kept]
     assert len(built) > 2 * len(set(built))  # each state is built again
     monkeypatch.setattr(core, "_CHUNK", 1)
     monkeypatch.setattr(core, "_MEMO_SMALL", -1)
     kept.clear()
     assert list(core._enumerate_qs(mult)) == words
-    assert list(core._enumerate_qs(mult, unit)) == texts
+    assert "\n".join(core._enumerate_qs(mult, unit, "\n")) == text
     assert not kept and len(words) == q.qs_count(mult)
-    assert texts == [",".join("x" * v for v in w) for w in words]
+    assert text == "\n".join(",".join("x" * v for v in w) for w in words)
     if sum(mult) == 8:
         filtered = oracles.multiset_permutations(mult)
         assert words == [w for w in filtered if q.is_quasi_stirling(w)]
@@ -455,8 +449,9 @@ def test_tuple_words_of_values_past_255(monkeypatch):
     for mult in [(1,) * 300, (2,) + (1,) * 299 + (3,)]:
         unit = [",%d" % v for v in range(len(mult) + 1)]
         first = list(islice(q.enumerate_qs(mult), 3000))
-        texts = islice(core._enumerate_qs(mult, unit), 3000)
-        assert first == [q.word_from_text(w) for w in texts]
+        chunks = core._enumerate_qs(mult, unit, "\n")
+        texts = chain.from_iterable(c.split("\n") for c in chunks)
+        assert list(islice(texts, 3000)) == list(map(q.word_to_text, first))
         want = Counter(dict(enumerate(mult, 1)))
         assert all(a < b for a, b in zip(first, first[1:]))
         assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in first)
@@ -476,7 +471,7 @@ def test_enumeration_memory_stays_linear(text):
     unit = ["%d," % v for v in range(4)]
     tracemalloc.start()
     try:
-        words = core._enumerate_qs(mult, unit) if text else q.enumerate_qs(mult)
+        words = core._enumerate_qs(mult, unit, "\n") if text else q.enumerate_qs(mult)
         first = list(islice(words, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

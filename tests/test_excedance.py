@@ -204,11 +204,11 @@ def test_one_repeated_value_is_always_quasi_stirling():
 
 
 def _recoding_check(name, forward, inverse, stat, mult, m):
-    """verify's bijection loop over `forward` from the words over mult
-    onto J_{K,m}, the word's `stat` being the excedances plus one."""
+    """verify's bijection loop over one case: `forward` from the words
+    over mult onto J_{K,m}, the word's `stat` being the excedances plus
+    one."""
     K = sum(mult)
-    return verify._check_bijection(
-        name,
+    return verify._check_bijection(name, [(
         sweeps.qs_words(mult),
         forward,
         inverse,
@@ -216,7 +216,7 @@ def _recoding_check(name, forward, inverse, stat, mult, m):
         lambda w, s: getattr(q.stats(w), stat) == q.exc(s) + 1,
         q.word_to_text,
         "J_{%d,%d}" % (K, m),
-    )
+    )])
 
 
 def test_chi_bijection_with_ascents():
