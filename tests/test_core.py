@@ -277,14 +277,21 @@ def test_enumeration_properties_at_fourteen_letters():
     assert all(Counter(w) == want and q.is_quasi_stirling(w) for w in words)
 
 
+def test_text_kernel_spells_the_tuple_words():
+    # pieces of unequal widths, as the CLI's ",10" is wider than ",9";
+    # each piece opens with a separator, which the word's first one drops
+    for mult in sweeps.all_mults(7) + [(3, 1, 3, 2, 1)]:
+        unit = ["," + "x" * v for v in range(len(mult) + 1)]
+        want = [",".join("x" * v for v in w) for w in sweeps.qs_words(mult)]
+        text = "\n".join(core._enumerate_qs(mult, unit, "\n"))
+        assert text.split("\n") == want, mult
+
+
 @pytest.mark.parametrize("sep", ["\n", '", "'])
 def test_text_chunks_are_the_words_joined(monkeypatch, sep):
     # given a separator, the text search yields the words in chunks of
     # whole words, each of at most _CHUNK characters unless it is two
-    # words: joined by it, the chunks are the tuple words joined by it,
-    # written in pieces of unequal widths, as the CLI's ",10" is wider
-    # than ",9"; each piece opens with a separator, which the word's
-    # first one drops
+    # words: joined by it, the chunks are the tuple words joined by it
     def chunks_and_words(mult, limit=None):
         unit = ["," + "x" * v for v in range(len(mult) + 1)]
         chunks = list(islice(core._enumerate_qs(mult, unit, sep), limit))
@@ -297,7 +304,7 @@ def test_text_chunks_are_the_words_joined(monkeypatch, sep):
 
     # (60,60): a state with one fresh value has more words than a chunk
     # holds, and hands them over one at a time
-    for mult in sweeps.all_mults(7) + [(60, 60), (3, 1, 3, 2, 1)]:
+    for mult in sweeps.all_mults(7) + [(60, 60)]:
         assert chunks_and_words(mult)[1] == q.qs_count(mult)
     chunks, words = chunks_and_words((1, 3, 1, 1, 3, 2))
     assert words == q.qs_count((1, 3, 1, 1, 3, 2)) > 40 * chunks
