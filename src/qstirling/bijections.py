@@ -384,13 +384,9 @@ def check_perm_tuple(parts, anchored=False):
         parts = tuple(_integers(p, message) for p in parts)
     except TypeError:  # parts is no sequence
         raise ValueError(message) from None
-    seen = []
-    for part in parts:
-        seen.extend(part)
-    if sorted(seen) != list(range(1, len(seen) + 1)):
-        raise ValueError(
-            "parts must cover 1..n exactly once, got values %s" % sorted(seen)
-        )
+    seen = sorted(v for part in parts for v in part)
+    if seen != list(range(1, len(seen) + 1)):
+        raise ValueError("parts must cover 1..n exactly once, got values %s" % seen)
     if anchored:
         if not parts or 1 not in parts[0]:
             raise ValueError("value 1 must lie in the first part")

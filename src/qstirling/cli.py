@@ -164,9 +164,7 @@ def _cmd_map(args):
         param = _integer(param, "j in map", which)
     elif suffix:
         param = core.MultisetSpec.from_text(param)
-    texts = []
-    for flag in reads:
-        texts.append(_require(getattr(args, flag), "--" + flag))
+    texts = [_require(getattr(args, flag), "--" + flag) for flag in reads]
     out = call(*texts, param)
     _emit(args, {"result": out}, out)
     return 0
@@ -205,11 +203,7 @@ def _cmd_verify(args):
         _emit(args, report, "\n".join(lines + ["PASS" if ok else "FAIL"]))
         return 0 if ok else 1
     check = _require(args.check, "--check (or --suite)")
-    if check not in verify.CHECKS:
-        raise ValueError(
-            "unknown check %r; choose one of %s"
-            % (check, ", ".join(sorted(verify.CHECKS)))
-        )
+    verify._check_named(check, verify.CHECKS)
     if args.max_K is not None and args.mult is not None:
         raise ValueError("check %s over --mult does not read --max-K" % check)
     if args.order is not None and check != "eq2":

@@ -17,10 +17,10 @@ enumerate, which are valid by construction, not the public maps, which
 would validate them again. thm23 and thm11 both check `_transport`
 between word families: thm23 one psi step at a time, thm11 the whole
 flattening schedule. psi on trees is phi_inv after that step after phi,
-so thm22 covers the rest. thm13, coro14, coro15, eq2, eq5 and eq7 share
-`_check_agree`: the sides of each case must be equal. Only thm12, which
-compares each multiset with the first of its (n, K) class, and eq4,
-which checks two identities per injection, loop on their own.
+so thm22 covers the rest. thm12, thm13, coro14, coro15, eq2, eq4, eq5
+and eq7 share `_check_agree`: the sides of each case must be equal.
+thm12 compares each multiset with the first of its (n, K) class, and
+eq4 runs it once per identity over the injections.
 
 The brute-force side of thm12, thm13, coro14, coro15, eq2 and eq7 is
 `core._family_counts`: the words of each multiset, counted by
@@ -30,7 +30,7 @@ through `core.qs_polynomial`.
 
 from collections import Counter
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, starmap
 from operator import sub
 
 from . import bijections, core, excedance, genfun, trees
@@ -54,6 +54,7 @@ def sweep_domain(name, max_K):
     """The domain the named check sweeps at size bound max_K: every
     multiset with K <= max_K, the (m, n) pairs with m + n - 1 <= max_K,
     or for eq4 the (n, r) pairs with r <= n <= max_K."""
+    _check_named(name, {**CHECKS, **SUITE_EXTRAS})
     (max_K,) = core._integers((max_K,), "max_K must be an integer")
     if name in ("eq5", "eq7", "zeta"):
         return [
@@ -180,19 +181,18 @@ def thm11(specs):
 
 def thm12(specs):
     """Equal-(n, K) multisets share the joint statistic polynomial."""
-    failures = []
-    classes = {}
-    for spec in specs:
-        classes.setdefault((spec.n, spec.K), []).append(spec)
-    for _, (first, *rest) in sorted(classes.items()):
-        ref = core.qs_polynomial(first)
-        for spec in rest:
-            if core.qs_polynomial(spec) != ref:
-                failures.append(
-                    "distribution over %s differs from %s"
-                    % (spec.to_text(), first.to_text())
-                )
-    return len(specs), failures
+    first = {}  # (n, K) -> the first multiset of that class
+
+    def sides(spec):
+        ref = first.setdefault((spec.n, spec.K), spec)
+        return dict(core._family_counts(spec.mult)), dict(core._family_counts(ref.mult))
+
+    return _check_agree(
+        specs,
+        sides,
+        lambda spec, _: "distribution over %s differs from %s"
+        % (spec.to_text(), first[spec.n, spec.K].to_text()),
+    )
 
 
 def thm13(specs):
@@ -287,27 +287,33 @@ def zeta(pairs):
     ) for m, n in pairs))
 
 
+def _normal_form_ascents(s):
+    rep = excedance.to_path_cycle(s)
+    return sum(a < b for seq in rep.paths + rep.cycles for a, b in zip(seq, seq[1:]))
+
+
+def _round_trip(s):
+    try:
+        return excedance.from_path_cycle(excedance.to_path_cycle(s))
+    except ValueError:  # a normal form it refuses is no round trip
+        return None
+
+
 def eq4(pairs):
     """Normal form round trip plus the excedance-from-ascents identity,
     over every injection family J_{n,r}."""
-    cases = 0
-    failures = []
-    for n, r in pairs:
-        for s in excedance.enumerate_J(n, r):
-            cases += 1
-            rep = excedance.to_path_cycle(s)
-            ascents = sum(
-                a < b for seq in rep.paths + rep.cycles for a, b in zip(seq, seq[1:])
-            )
-            if ascents != excedance.exc(s):
-                failures.append("ascent identity fails at %s" % s.to_text())
-            try:
-                back = excedance.from_path_cycle(rep)
-            except ValueError:  # a normal form it refuses is no round trip
-                back = None
-            if back != s:
-                failures.append("normal form round trip fails at %s" % s.to_text())
-    return cases, failures
+    pairs = list(pairs)  # each identity streams the injections anew
+    cases, failures = _check_agree(
+        chain.from_iterable(starmap(excedance.enumerate_J, pairs)),
+        lambda s: (_normal_form_ascents(s), excedance.exc(s)),
+        lambda s, _: "ascent identity fails at %s" % s.to_text(),
+    )
+    _, more = _check_agree(
+        chain.from_iterable(starmap(excedance.enumerate_J, pairs)),
+        lambda s: (_round_trip(s), s),
+        lambda s, _: "normal form round trip fails at %s" % s.to_text(),
+    )
+    return cases, failures + more
 
 
 CHECKS = {
@@ -329,18 +335,20 @@ SUITE_EXTRAS = {
 }
 
 
+def _check_named(name, checks):
+    """checks[name]; a name that is no key of `checks` is a ValueError."""
+    if isinstance(name, str) and name in checks:
+        return checks[name]
+    raise ValueError("unknown check %r; choose one of %s" % (name, ", ".join(sorted(checks))))
+
+
 def run_check(name, domain, order):
     """Run the named check over `domain`; only eq2 reads `order`.
 
     A check that ran no case is not a pass, so that raises ValueError,
     as does a name that is no check.
     """
-    fn = CHECKS.get(name) or SUITE_EXTRAS.get(name)
-    if fn is None:
-        raise ValueError(
-            "unknown check %r; choose one of %s"
-            % (name, ", ".join(sorted([*CHECKS, *SUITE_EXTRAS])))
-        )
+    fn = _check_named(name, {**CHECKS, **SUITE_EXTRAS})
     cases, failures = fn(domain, order) if name == "eq2" else fn(domain)
     if cases == 0:
         raise ValueError("check %s has no case to run" % name)

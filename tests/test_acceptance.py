@@ -5,7 +5,8 @@ Each test prints a single `[PASS]`/`[FAIL]` line (visible with
 criteria run the full advertised ranges, so this module carries most of
 the suite's runtime. Criteria 03-06 and 08-12 drive the package's
 verification engine over domains built here from `sweeps.all_mults`,
-and assert that it ran exactly the closed-form number of cases; the
+criterion 07 over the engine's own injection sweep, and each asserts
+that it ran exactly the closed-form number of cases; the
 mutation check corrupts the re-attachment rule to prove the engine's
 sweeps can actually fail.
 """
@@ -48,7 +49,8 @@ def _engine_failures(result, expected_cases):
 # once per value j >= 2 of multiplicity at least 2; there are 2^K - 1
 # multisets with size up to K, 63 of them with K <= 7 and n <= 3 (the
 # sum over K of 1 + (K-1) + C(K-1, 2)), and 21 pairs with m + n <= 7,
-# whose anchored tuple families have (m+n-1)!/m! members.
+# whose anchored tuple families have (m+n-1)!/m! members. The injection
+# families J_{n,r} with r <= n <= 7 have n!/r! members each.
 FAMILIES_UP_TO_8 = 436628
 SHIFTS_UP_TO_7 = 40189
 MULTISETS_UP_TO_7 = 127
@@ -56,6 +58,7 @@ MULTISETS_UP_TO_8 = 255
 THREE_VALUES_UP_TO_7 = 63
 TUPLE_PAIRS = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)]
 ANCHORED_TUPLES = 1498
+INJECTIONS_UP_TO_7 = 10158
 
 
 # --- the criteria -----------------------------------------------------------
@@ -141,7 +144,9 @@ def test_criterion_06_composition_invariance():
 
 
 def test_criterion_07_worked_injection_example():
-    failures = []
+    failures = _engine_failures(
+        verify.eq4(verify.sweep_domain("eq4", 7)), INJECTIONS_UP_TO_7
+    )
     w = (4, 6, 9, 9, 5, 2, 8, 9, 1, 7, 3)
     s = q.chi(w)
     rendered = q.render_path_cycle(q.to_path_cycle(s))
@@ -156,7 +161,8 @@ def test_criterion_07_worked_injection_example():
     _report(
         7,
         "the eleven-letter injection example renders in standard form "
-        "with exc 5 and asc 6",
+        "with exc 5 and asc 6, and every injection with n up to 7 comes "
+        "back from its normal form, whose ascents number its excedances",
         failures,
     )
 

@@ -538,7 +538,8 @@ def _plus_one(fn, only=None):
 # the one failure the JSON report names, the report's extra fields): one side
 # of each agreement check is corrupted, and the check must fail at the case it ran
 VERIFY_FAILURES = [
-    ("thm12", "2,1", core, "qs_polynomial", lambda fn: _plus_one(fn, (2, 1)),
+    ("thm12", "2,1", core, "_family_counts",
+     lambda fn: lambda mult: fn(mult) + (((99, 0, 0), 1),) * (mult == (2, 1)),
      "FAIL thm12 (cases=2)", "distribution over 2,1 differs from 1,2", {}),
     ("thm13", "2,2", excedance, "exc", _plus_one,
      "FAIL thm13 (cases=1)", "histograms differ over 2,2", {}),
@@ -589,8 +590,16 @@ def test_verify_library_rejects_bad_arguments():
     ):
         with pytest.raises(ValueError, match="max_K must be an integer"):
             call()
-    with pytest.raises(ValueError, match="unknown check 'bogus'; .*eq4, .*thm23, zeta$"):
-        verify.run_check("bogus", [], 8)
+    # run_check(["x"], ...) raised TypeError (unhashable), and sweep_domain
+    # gave the multiset domain for a name that is no check
+    for name, call in (
+        ("'bogus'", lambda: verify.run_check("bogus", [], 8)),
+        (r"\['x'\]", lambda: verify.run_check(["x"], [], 8)),
+        ("'bogus'", lambda: verify.sweep_domain("bogus", 2)),
+        ("None", lambda: verify.sweep_domain(None, 2)),
+    ):
+        with pytest.raises(ValueError, match="^unknown check %s; .*eq4, .*thm23, zeta$" % name):
+            call()
     # compositions(0, 1) gave [(0,)], with no positive part; the others
     # raised TypeError or itertools' own message
     for args in ((3.0, 1), (None, 2), (3, 1.5)):
@@ -624,10 +633,12 @@ def test_verify_suite_honours_order(capsys, monkeypatch):
 
 
 def test_kernel_image_outside_family_fails(capsys, monkeypatch):
-    # each faulty kernel adds a value absent from every family: exactly
-    # the checks that use it fail, none crashes
+    # each faulty kernel adds a value absent from every family, or one to
+    # a count: exactly the checks that use it fail, none crashes
     append = lambda out: out + (99,)
     stray_path = lambda rep: rep._replace(paths=rep.paths + ((99,),))
+    # a path with an ascent breaks both of eq4's identities, not the round trip alone
+    stray_ascent = lambda rep: rep._replace(paths=rep.paths + ((98, 99),))
     stray_term = lambda terms: {**terms, (99, 0, 0): 1}
     stray_pair = lambda pairs: pairs + (((99, 0, 0), 1),)
     suite = ("--suite", "--max-K", "3")
@@ -640,6 +651,8 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
         (bijections, "_transport", append, suite, ["thm23 (cases=3)", "thm11 (cases=17)"]),
         (bijections, "zeta_inv", append, suite, ["zeta (cases=14)"]),
         (excedance, "to_path_cycle", stray_path, suite, ["eq4 (cases=14)"]),
+        (excedance, "to_path_cycle", stray_ascent, suite, ["eq4 (cases=14)"]),
+        (excedance, "exc", lambda count: count + 1, suite, ["thm13 (cases=7)", "eq4 (cases=14)"]),
         (genfun, "_gap_insertion", stray_term, suite, ["coro15 (cases=7)", "eq5 (cases=6)", "eq7 (cases=6)"]),
         # the shared brute-force counts: patched themselves, as a patched
         # core.stats would hide behind counts cached by an earlier test
@@ -652,6 +665,14 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
         assert (code, err) == (1, ""), (kernel, argv, err)
         got = [line[5:] for line in out.splitlines() if line.startswith("FAIL ")]
         assert got == fails, (kernel, argv, out)
+    # eq4 counts a failure per broken identity of each injection
+    real = excedance.to_path_cycle
+    for stray, failure_count in ((stray_path, 14), (stray_ascent, 28)):
+        with monkeypatch.context() as patch:
+            patch.setattr(excedance, "to_path_cycle", lambda s: stray(real(s)))
+            code, out, _ = run_cli(capsys, "verify", *suite)
+        (eq4,) = [entry for entry in json.loads(out)["checks"] if entry["name"] == "eq4"]
+        assert (code, eq4["cases"], eq4["failure_count"]) == (1, 14, failure_count), out
 
 
 def test_brute_force_counts_are_taken_once_per_multiset():

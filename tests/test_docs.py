@@ -1,10 +1,10 @@
 """The demos run, the README's command-line examples print what the
 README says they print, the README names each map of the `map` table
 and the flags it reads, the test oracles import nothing from the
-package, no parser but core._numbers runs int(), every check but thm12
-and eq4 runs one of verify's shared loops, the acceptance criteria call
-every check of the CLI, excedance imports nothing from bijections, and
-every name the benchmark tracer wraps exists."""
+package, no parser but core._numbers runs int(), every check runs one
+of verify's shared loops, the acceptance criteria call every check of
+the suite, excedance imports nothing from bijections, and every name
+the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -141,10 +141,9 @@ def test_only_the_number_reader_runs_int():
     assert found == allowed
 
 
-def test_every_check_but_two_runs_a_shared_loop():
-    # thm12 compares each multiset with the first of its (n, K) class and
-    # eq4 checks two identities per injection; every other check calls
-    # one of the shared loops, so a new hand-written loop fails here
+def test_every_check_runs_a_shared_loop():
+    # every check calls one of the shared loops, so a new hand-written
+    # loop fails here
     loops = {"_check_bijection", "_check_agree"}
     tree = ast.parse((ROOT / "src" / "qstirling" / "verify.py").read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -164,7 +163,7 @@ def test_every_check_but_two_runs_a_shared_loop():
             if isinstance(node, ast.Call)
         }
 
-    assert {name for name in checks if not called(name) & loops} == {"thm12", "eq4"}
+    assert {name for name in checks if not called(name) & loops} == set()
 
 
 def test_acceptance_criteria_call_every_check():
@@ -178,7 +177,7 @@ def test_acceptance_criteria_call_every_check():
         and isinstance(node.func, ast.Attribute)
         and getattr(node.func.value, "id", None) == "verify"
     }
-    assert set(verify.CHECKS) - called == set()
+    assert {*verify.CHECKS, *verify.SUITE_EXTRAS} - called == set()
 
 
 def test_excedance_imports_nothing_from_bijections():

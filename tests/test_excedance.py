@@ -129,18 +129,6 @@ def test_standard_form_conventions():
         assert heads == sorted(heads, reverse=True)
 
 
-def test_ascent_identity_for_written_sequences():
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            for s in q.enumerate_J(n, r):
-                rep = q.to_path_cycle(s)
-                total = sum(
-                    sum(1 for i in range(len(seq) - 1) if seq[i] < seq[i + 1])
-                    for seq in rep.paths + rep.cycles
-                )
-                assert total == q.exc(s)
-
-
 def test_enumerate_J_counts():
     assert len(list(q.enumerate_J(2, 1))) == 2
     assert len(list(q.enumerate_J(3, 1))) == 6
