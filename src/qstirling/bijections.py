@@ -11,15 +11,18 @@ same number of values and total size while preserving the statistic
 triple.
 
 The public functions validate their input once; the kernels behind
-them (the underscored helpers) trust it. Every kernel runs on explicit
-stacks, without recursion, so tree depth is bounded by memory only. The
-word maps go word -> tree of [label, children] lists -> psi steps ->
-word in linear passes: value-indexed lists find the odd vertices of
-each step, a run of equal steps walks up the tree once and moves its
-copies as two list slices around its one case-1 step, and _phi reads
-the list tree as it reads a tuple tree. The tree maps psi, psi_inv and
-big_psi take the same path behind phi: tree -> word -> list tree -> psi
-steps -> word -> tree.
+them (the underscored helpers) trust it. Each psi map then makes one
+call _transport(w, mult, runs), of (src, dst, count) runs of equal psi
+steps: psi and psi_inv pass their one step, the others the runs of
+_shift_schedule(src, dst), and verify's thm23 and thm11 make the same
+calls. Every kernel runs on explicit stacks, without recursion, so tree
+depth is bounded by memory only. The word maps go word -> tree of
+[label, children] lists -> psi steps -> word in linear passes:
+value-indexed lists find the odd vertices of each step, a run of equal
+steps walks up the tree once and moves its copies as two list slices
+around its one case-1 step, and _phi reads the list tree as it reads a
+tuple tree. The tree maps psi, psi_inv and big_psi take the same path
+behind phi: tree -> word -> list tree -> psi steps -> word -> tree.
 
 The tail of the module handles words over the flattened multisets
 {1^m, 2, ..., n} directly: the block decomposition of maximally
@@ -206,10 +209,13 @@ def _psi_step(odd, up, src, dst, count=1):
             box[1] = _rotate_to_front_order(box[1], pos)
 
 
-def _shifted_mult(t, j, up):
-    # validate the input of psi (up=False) and psi_inv (up=True), and
-    # return j and the multiplicities of t before and after one copy of
-    # j moves down to j-1, or one copy of j-1 moves up to j
+def _stepped(mult, src, dst):
+    # the multiplicities after one psi step turns a copy of src into dst
+    return tuple(k - (v == src) + (v == dst) for v, k in enumerate(mult, 1))
+
+
+def _psi(t, j, up):
+    # psi, a copy of j down to j-1, or with up=True psi_inv, one back up
     (j,) = _integers((j,), "j must be an integer")
     spec = infer_spec(t)
     if spec.n < 2:
@@ -217,14 +223,12 @@ def _shifted_mult(t, j, up):
     if j < 2 or j > spec.n:
         raise ValueError("j must be between 2 and %d, got %d" % (spec.n, j))
     src, dst = (j - 1, j) if up else (j, j - 1)
-    mult = list(spec.mult)
-    if mult[src - 1] < 2:
+    if spec.mult[src - 1] < 2:
         raise ValueError(
-            "value %d has multiplicity %d, need at least 2" % (src, mult[src - 1])
+            "value %d has multiplicity %d, need at least 2" % (src, spec.mult[src - 1])
         )
-    mult[src - 1] -= 1
-    mult[dst - 1] += 1
-    return j, spec.mult, mult
+    w = _transport(_phi(t), spec.mult, [(src, dst, 1)])
+    return _phi_inv(w, _stepped(spec.mult, src, dst))
 
 
 def psi(t, j):
@@ -238,60 +242,59 @@ def psi(t, j):
     result is a valid tree over the multiset with multiplicities
     (..., k_{j-1}+1, k_j-1, ...).
     """
-    j, mult, shifted = _shifted_mult(t, j, up=False)
-    return _phi_inv(_transport(_phi(t), mult, ((j, 1),), ()), shifted)
+    return _psi(t, j, up=False)
 
 
 def psi_inv(t, j):
     """Undo psi(..., j): move one copy of value j-1 back up to value j,
     by the surgery of psi with j and j-1 exchanged."""
-    j, mult, shifted = _shifted_mult(t, j, up=True)
-    return _phi_inv(_transport(_phi(t), mult, (), ((j, 1),)), shifted)
+    return _psi(t, j, up=True)
 
 
-def _shift_schedule(mult):
-    """The psi steps that flatten mult to (K-n+1, 1, ..., 1), always at
-    the largest value whose multiplicity is still at least 2, as runs
-    (j, count) of equal steps.
+def _shift_schedule(src, dst):
+    """The runs (src, dst, count) of psi steps that carry the words over
+    multiplicities src onto those over dst, of the same n and K: flatten
+    src, always at the largest repeated value, then undo the flattening
+    of dst in reverse. Steps at j only add copies to j-1, so j passes on
+    its own extra copies plus all those carried down from above it."""
+    down, up = [], []
+    carried_down = carried_up = 0
+    for j in range(len(src), 1, -1):
+        carried_down += src[j - 1] - 1
+        carried_up += dst[j - 1] - 1
+        if carried_down:
+            down.append((j, j - 1, carried_down))
+        if carried_up:
+            up.append((j - 1, j, carried_up))
+    return down + up[::-1]
 
-    Steps at j only add copies to j-1, so the schedule works down from
-    the largest repeated value: j takes its own extra copies plus all
-    those carried down from above it, and passes them on to j-1.
-    """
-    runs = []
-    carried = 0
-    for j in range(len(mult), 1, -1):
-        carried += mult[j - 1] - 1
-        if carried:
-            runs.append((j, carried))
-    return runs
+
+def _flattened(mult):
+    # (K-n+1, 1, ..., 1), without the checks of a new MultisetSpec
+    return (sum(mult) - len(mult) + 1,) + (1,) * (len(mult) - 1) if mult else ()
 
 
 def flattened_spec(spec):
     """The multiset with the same n and K in which only value 1 repeats."""
-    spec = _as_spec(spec)
-    if spec.n == 0:
-        return spec
-    return MultisetSpec((spec.K - spec.n + 1,) + (1,) * (spec.n - 1))
+    return MultisetSpec(_flattened(_as_spec(spec).mult))
 
 
 def big_psi(t):
     """Iterate psi until only the value 1 has multiplicity above 1."""
     spec = infer_spec(t)
-    w = _transport(_phi(t), spec.mult, _shift_schedule(spec.mult), ())
-    return _phi_inv(w, flattened_spec(spec).mult)
+    flat = _flattened(spec.mult)
+    w = _transport(_phi(t), spec.mult, _shift_schedule(spec.mult, flat))
+    return _phi_inv(w, flat)
 
 
-def _transport(w, mult, down, lift):
-    # w is quasi-Stirling over mult: flatten it by `down`, then unflatten
-    # it onto a target whose schedule is `lift`
-    if not down and not lift:
+def _transport(w, mult, runs):
+    # w is quasi-Stirling over mult; each run (src, dst, count) turns
+    # count copies of src into the adjacent value dst, one psi step each
+    if not runs:
         return w
     root, odd, up = _word_tree(w, mult)
-    for j, count in down:
-        _psi_step(odd, up, j, j - 1, count)
-    for j, count in reversed(lift):
-        _psi_step(odd, up, j - 1, j, count)
+    for src, dst, count in runs:
+        _psi_step(odd, up, src, dst, count)
     return _phi(root)
 
 
@@ -299,24 +302,24 @@ def big_phi(w):
     """Map a quasi-Stirling word onto the flattened multiset with the
     same n and K, preserving (asc, des, plat)."""
     w, spec = _checked_word(w)
-    return _transport(w, spec.mult, _shift_schedule(spec.mult), ())
+    return _transport(w, spec.mult, _shift_schedule(spec.mult, _flattened(spec.mult)))
 
 
 def big_phi_inv(w, target):
     """Inverse of big_phi, aimed at the given target multiset.
 
     The input word must live over the flattened form of the target; the
-    shift schedule of the target is undone step by step in reverse.
+    steps that flatten the target are undone in reverse.
     """
     target = _as_spec(target)
     w, spec = _checked_word(w)
-    flat = flattened_spec(target)
-    if spec != flat:
+    flat = _flattened(target.mult)
+    if spec.mult != flat:
         raise ValueError(
             "word multiset %s is not the flattened form %s of the target"
-            % (spec.to_text() or "()", flat.to_text() or "()")
+            % (spec.to_text() or "()", word_to_text(flat) or "()")
         )
-    return _transport(w, spec.mult, (), _shift_schedule(target.mult))
+    return _transport(w, spec.mult, _shift_schedule(spec.mult, target.mult))
 
 
 def transport(w, target):
@@ -329,9 +332,7 @@ def transport(w, target):
             "source has n=%d, K=%d but target has n=%d, K=%d"
             % (spec.n, spec.K, target.n, target.K)
         )
-    return _transport(
-        w, spec.mult, _shift_schedule(spec.mult), _shift_schedule(target.mult)
-    )
+    return _transport(w, spec.mult, _shift_schedule(spec.mult, target.mult))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +363,9 @@ def max_descent_decompose(w):
     des = stats(w).des
     if des != n:
         raise ValueError("word has %d descents, the maximum %d is required" % (des, n))
-    if w[-1] != 1:
-        raise ValueError("maximally descending word must end in 1")
-    parts = _split_at_ones(w)[:-1]  # the last stretch is empty
-    for part in parts:
-        if any(part[i] <= part[i + 1] for i in range(len(part) - 1)):
-            raise ValueError("block %r is not strictly decreasing" % (part,))
-    return tuple(parts)
+    # a 1 tops a descent only as the last letter and each v > 1 at most
+    # one, so des = n forces the form b_1 1 ... b_m 1, blocks decreasing
+    return tuple(_split_at_ones(w)[:-1])  # the last stretch is empty
 
 
 # ---------------------------------------------------------------------------

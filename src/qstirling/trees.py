@@ -249,11 +249,13 @@ def _trees(spec):
 
 
 def enumerate_trees(spec):
-    """Iterate over every tree over `spec`, ordered by serialized form."""
+    """Iterate over every tree over `spec`, one at a time, in the
+    construction order that thm22 checks: slot 0 is the root and the
+    even vertices follow, value 1's first; the acyclic assignments of
+    odd vertices to slots run in lexicographic order, value 1's slot
+    slowest, and within one the odd vertices of a slot take their orders
+    as `permutations` lists them, their subtrees as `product` does. So
+    (1, 2) gives 0(1,2(2)), 0(2(2),1), 0(2(2(1)))."""
     spec = _as_spec(spec)
     _indexable(spec.K)
-    return _sorted_trees(spec)
-
-
-def _sorted_trees(spec):
-    yield from sorted(_trees(spec), key=render_tree)
+    return _trees(spec)

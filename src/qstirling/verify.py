@@ -12,12 +12,15 @@ share one loop, `_check_bijection`, which takes all the families of a
 check, one case each: each image must lie in the target family, tested
 before any other kernel runs on it, keep the statistics and map back to
 its source, and the images must cover the family.
-thm22, thm23 and thm11 run the kernels on the trees and words they
-enumerate, which are valid by construction, not the public maps, which
-would validate them again. thm23 and thm11 both check `_transport`
-between word families: thm23 one psi step at a time, thm11 the whole
-flattening schedule. psi on trees is phi_inv after that step after phi,
-so thm22 covers the rest. thm12, thm13, coro14, coro15, eq2, eq4, eq5
+thm22, thm23 and thm11 run on the trees and words they enumerate,
+valid by construction, the kernel calls that the public maps make
+after their input check. thm22 reads `trees._trees`, as
+`enumerate_trees` does, and compares `core.qs_count` with each word
+family's size. thm23 runs psi's one `_transport` step (j, j-1, 1) and
+back psi_inv's (j-1, j, 1), thm11 big_phi's runs
+`_shift_schedule(spec, flat)` and back big_phi_inv's
+`_shift_schedule(flat, spec)`. psi on trees is phi_inv after that step
+after phi, so thm22 covers the rest. thm12, thm13, coro14, coro15, eq2, eq4, eq5
 and eq7 share `_check_agree`: the sides of each case must be equal.
 thm12 compares each multiset with the first of its (n, K) class, and
 eq4 runs it once per identity over the injections.
@@ -120,33 +123,44 @@ def _phi_stats_agree(t, w):
 
 
 def thm22(specs):
-    """phi: bijection onto the word family, carrying all five statistics."""
-    return _check_bijection("phi", ((
+    """phi: bijection onto the word family, carrying all five statistics;
+    and `qs_count` gives the size of each family."""
+    miscounts = []
+
+    def family(spec):
+        words = set(core.enumerate_qs(spec))
+        if core.qs_count(spec) != len(words):
+            miscounts.append("qs_count over %s is not %d" % (spec.to_text(), len(words)))
+        return words
+
+    cases, failures = _check_bijection("phi", ((
         trees._trees(spec),
         bijections._phi,
         partial(bijections._phi_inv, mult=spec.mult),
-        set(core.enumerate_qs(spec)),
+        family(spec),
         _phi_stats_agree,
         lambda t: "tree " + trees.render_tree(t),
         spec.to_text(),
     ) for spec in specs))
+    return cases, failures + miscounts
 
 
 def _shift_cases(specs, shifts):
     """The cases of psi runs between word families: shifts(spec) yields
-    (runs, target, suffix, over), and `_transport` with the runs must
+    (runs, target, back, suffix, over), and `_transport` with `runs` must
     carry the words over spec onto those over target, keeping (asc, des,
-    plat); a failure names the word plus `suffix`, and the family `over`."""
+    plat), and with `back` carry them home; a failure names the word
+    plus `suffix`, and the family `over`."""
     transport = bijections._transport
     families = {}  # target multiplicities -> its family, enumerated once
     for spec in specs:
-        for runs, target, suffix, over in shifts(spec):
+        for runs, target, back, suffix, over in shifts(spec):
             if target.mult not in families:
                 families[target.mult] = set(core.enumerate_qs(target))
             yield (
                 core.enumerate_qs(spec),
-                lambda w: transport(w, spec.mult, runs, ()),
-                lambda w: transport(w, target.mult, (), runs),
+                lambda w: transport(w, spec.mult, runs),
+                lambda w: transport(w, target.mult, back),
                 families[target.mult],
                 lambda w, w2: core.stats(w) == core.stats(w2),
                 lambda w: core.word_to_text(w) + suffix,
@@ -155,13 +169,12 @@ def _shift_cases(specs, shifts):
 
 
 def _single_shifts(spec):
+    # the step of psi at j, and back the step of psi_inv
     for j in range(2, spec.n + 1):
         if spec.mult[j - 1] > 1:
-            shifted = list(spec.mult)
-            shifted[j - 2] += 1
-            shifted[j - 1] -= 1
-            target = core.MultisetSpec(tuple(shifted))
-            yield ((j, 1),), target, " j=%d" % j, "%s at j=%d" % (spec.to_text(), j)
+            target = core.MultisetSpec(bijections._stepped(spec.mult, j, j - 1))
+            over = "%s at j=%d" % (spec.to_text(), j)
+            yield [(j, j - 1, 1)], target, [(j - 1, j, 1)], " j=%d" % j, over
 
 
 def thm23(specs):
@@ -171,12 +184,16 @@ def thm23(specs):
     return _check_bijection("psi", _shift_cases(specs, _single_shifts))
 
 
+def _flattening(spec):
+    # the runs of big_phi, and back those of big_phi_inv
+    flat = bijections.flattened_spec(spec)
+    runs = bijections._shift_schedule(spec.mult, flat.mult)
+    yield runs, flat, bijections._shift_schedule(flat.mult, spec.mult), "", spec.to_text()
+
+
 def thm11(specs):
     """big_phi: bijection onto the flattened family, triple preserved."""
-    return _check_bijection("big_phi", _shift_cases(specs, lambda spec: [(
-        bijections._shift_schedule(spec.mult),
-        bijections.flattened_spec(spec), "", spec.to_text(),
-    )]))
+    return _check_bijection("big_phi", _shift_cases(specs, _flattening))
 
 
 def thm12(specs):

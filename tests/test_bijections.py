@@ -174,8 +174,8 @@ def test_psi_round_trip_and_statistics_small():
     # it, and the images cover the family
     def cases():
         for mult in sweeps.all_mults(6):
-            # thm23's shifts: the run ((j, 1),) moves a copy of j to j - 1
-            for ((j, _),), target, _, over in verify._single_shifts(q.MultisetSpec(mult)):
+            # thm23's shifts: the run (j, j - 1, 1) moves a copy of j to j - 1
+            for [(j, _, _)], target, _, _, over in verify._single_shifts(q.MultisetSpec(mult)):
                 yield (
                     q.enumerate_trees(mult),
                     lambda t: q.psi(t, j),
@@ -222,6 +222,35 @@ def test_big_phi_inv_rejects_wrong_shape():
         q.big_phi_inv((1, 2, 2, 1), q.MultisetSpec((2, 2)))  # flat form would be (3, 1)
     with pytest.raises(ValueError):
         q.big_phi_inv((2, 1, 1), q.MultisetSpec((1, 1)))  # (n, K) mismatch
+
+
+def test_word_maps_make_the_transport_calls_thm11_checks(monkeypatch):
+    # big_phi, big_phi_inv and transport are each a check plus the one
+    # _transport call that thm11 runs: a wrapper that forks its own
+    # schedule, or runs it in another order, fails here
+    calls = []
+    real = bijections._transport
+
+    def spy(w, mult, runs):
+        calls.append((w, mult, list(runs)))
+        return real(w, mult, runs)
+
+    monkeypatch.setattr(bijections, "_transport", spy)
+    for mult in sweeps.all_mults(5):
+        spec = q.MultisetSpec(mult)
+        flat = q.flattened_spec(spec)
+        calls.clear()
+        assert verify.thm11([spec]) == (len(sweeps.qs_words(mult)), [])
+        checked = calls[:]
+        calls.clear()
+        for w in sweeps.qs_words(mult):
+            q.big_phi_inv(q.big_phi(w), spec)
+        assert calls == checked, spec  # forward, then inverse, per word
+        for w in sweeps.qs_words(mult):
+            calls.clear()
+            q.transport(w, flat)
+            q.big_phi(w)
+            assert calls[0] == calls[1], w
 
 
 # -- transport ---------------------------------------------------------
@@ -297,8 +326,8 @@ def test_max_descent_decompose_rejects():
 
 
 def test_max_descent_words_count_and_reassembly():
-    for n in range(1, 5):
-        for m in range(1, 5):
+    for n in range(1, 9):
+        for m in range(1, 10 - n):
             mult = (m,) + (1,) * (n - 1)
             spec = q.MultisetSpec(mult)
             hits = 0

@@ -675,6 +675,17 @@ def test_kernel_image_outside_family_fails(capsys, monkeypatch):
         assert (code, eq4["cases"], eq4["failure_count"]) == (1, 14, failure_count), out
 
 
+def test_suite_vouches_for_count(monkeypatch):
+    # thm22 compares qs_count, what `count` prints, with each family it
+    # enumerates; no other check reads qs_count
+    real = core.qs_count
+    monkeypatch.setattr(core, "qs_count", lambda s: real(s) + (core._as_spec(s).n > 3))
+    ok, report = verify.verify_suite(5)
+    failed = {e["name"]: e["failure_count"] for e in report["checks"] if not e["pass"]}
+    assert not ok
+    assert failed == {"thm22": 6}  # the six multisets with K <= 5 and n > 3
+
+
 def test_brute_force_counts_are_taken_once_per_multiset():
     # thm12, thm13, coro14, coro15, eq2 and eq7 share core._family_counts:
     # each multiset's words are counted once, and the verdicts stay those

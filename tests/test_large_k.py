@@ -133,7 +133,7 @@ def test_psi_runs_read_the_odd_vertices_a_few_times_per_run(monkeypatch):
 
     monkeypatch.setattr(bijections, "_word_tree", counted)
     w = oracles.random_quasi_stirling(HIGH, seed=3)
-    runs = len(bijections._shift_schedule(HIGH))
+    runs = len(bijections._shift_schedule(HIGH, HIGH[::-1]))
     steps = (HIGH_K - HIGH_N) * (HIGH_N - 1)
     assert q.big_phi_inv(q.big_phi(w), HIGH) == w
     assert len(made) == 2
@@ -161,10 +161,27 @@ def test_one_word_families_of_1200_letters(capsys):
 
 
 def test_shift_schedule_matches_its_definition():
-    for mult in sweeps.all_mults(8):
-        runs = bijections._shift_schedule(mult)
-        steps = [j for j, count in runs for _ in range(count)]
-        assert steps == oracles.largest_repeat_schedule(mult)
+    # the runs to the flattened multiset are its flattening steps; back,
+    # they are those steps undone in reverse; between two multisets,
+    # the flattening of the first and then the second's undone
+    def steps(runs):
+        return [(src, dst) for src, dst, count in runs for _ in range(count)]
+
+    mults = sweeps.all_mults(8)
+    for mult in mults:
+        flat = q.flattened_spec(mult).mult
+        down = steps(bijections._shift_schedule(mult, flat))
+        assert down == [(j, j - 1) for j in oracles.largest_repeat_schedule(mult)]
+        up = steps(bijections._shift_schedule(flat, mult))
+        assert up == [(dst, src) for src, dst in reversed(down)]
+    small = [mult for mult in mults if sum(mult) <= 6]
+    for a in small:
+        for b in small:
+            if (len(a), sum(a)) == (len(b), sum(b)):
+                flat = q.flattened_spec(a).mult
+                assert bijections._shift_schedule(a, b) == (
+                    bijections._shift_schedule(a, flat) + bijections._shift_schedule(flat, b)
+                )
 
 
 def test_stirling_recognizer_on_a_nested_word_of_two_hundred_thousand_letters():

@@ -1,5 +1,6 @@
 """Tree grammar, validation, statistics and enumeration."""
 
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -130,7 +131,7 @@ def test_enumerate_trees_counts_and_validity():
         for t in q.enumerate_trees(spec):
             assert q.tree_violation(t, spec) is None
             rendered.append(q.render_tree(t))
-        assert all(a < b for a, b in zip(rendered, rendered[1:]))
+        assert len(set(rendered)) == len(rendered)
         assert len(rendered) == factorial(spec.K) // factorial(spec.K - spec.n + 1)
 
 
@@ -142,8 +143,25 @@ def test_enumerate_trees_small_families():
     # values with multiplicity 1 are leaves, so both must hang off the root
     two = [q.render_tree(t) for t in q.enumerate_trees(q.MultisetSpec((1, 1)))]
     assert two == ["0(1,2)", "0(2,1)"]
+    # construction order: value 1 at the root before under 2's even
+    # vertex, and at the root the orders of (1, 2) as permutations lists them
     three = [q.render_tree(t) for t in q.enumerate_trees(q.MultisetSpec((1, 2)))]
-    assert three == ["0(1,2(2))", "0(2(2(1)))", "0(2(2),1)"]
+    assert three == ["0(1,2(2))", "0(2(2),1)", "0(2(2(1)))"]
+    four = [q.render_tree(t) for t in q.enumerate_trees((2, 2))]
+    assert four == ["0(1(1),2(2))", "0(2(2),1(1))", "0(1(1(2(2))))", "0(2(2(1(1))))"]
+
+
+def test_enumerate_trees_holds_one_tree_at_a_time():
+    # the 40,320 trees over (1,)^8 stream: sorting them all first peaked
+    # near 9.4 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in q.enumerate_trees((1,) * 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == factorial(8)
+    assert peak < 1 << 20, peak
 
 
 def test_enumerate_trees_empty_spec():
