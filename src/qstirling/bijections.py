@@ -256,7 +256,9 @@ def _shift_schedule(src, dst):
     multiplicities src onto those over dst, of the same n and K: flatten
     src, always at the largest repeated value, then undo the flattening
     of dst in reverse. Steps at j only add copies to j-1, so j passes on
-    its own extra copies plus all those carried down from above it."""
+    its own extra copies plus all those carried down from above it.
+    Where the two meet, a step (j-1, j) undoes the step (j, j-1) just
+    before it, so those runs cancel down to their net run."""
     down, up = [], []
     carried_down = carried_up = 0
     for j in range(len(src), 1, -1):
@@ -266,6 +268,15 @@ def _shift_schedule(src, dst):
             down.append((j, j - 1, carried_down))
         if carried_up:
             up.append((j - 1, j, carried_up))
+    # both lists run down to j = 2, so their innermost runs share a j
+    while down and up:
+        (j, i, a), (_, _, b) = down.pop(), up.pop()
+        if a > b:
+            down.append((j, i, a - b))
+            break
+        if a < b:
+            up.append((i, j, b - a))
+            break
     return down + up[::-1]
 
 
@@ -324,7 +335,8 @@ def big_phi_inv(w, target):
 
 def transport(w, target):
     """Carry a quasi-Stirling word to the target multiset (same n, same
-    K) through the flattened multiset, preserving (asc, des, plat)."""
+    K) as through the flattened multiset, preserving (asc, des, plat);
+    the steps that would be undone on the way are not taken."""
     target = _as_spec(target)
     w, spec = _checked_word(w)
     if (spec.n, spec.K) != (target.n, target.K):

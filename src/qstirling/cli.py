@@ -319,9 +319,9 @@ def run(argv):
     exit code instead of exiting, so it can be driven in-process.
 
     An argv that is a verb and its own flags, each given once with a
-    plain value, is read from the option table alone, in about 2 µs; any
-    other argv goes to the argparse parser (about 20 µs a parse), built
-    on the first such call and kept, so help, usage and errors are
+    plain value, is read from the option table alone, and no parser is
+    built; any other argv goes to the argparse parser, built once per
+    process on the first such call, so help, usage and errors are
     argparse's. No value set by one call carries into the next."""
     args = _plain_args(argv)
     if args is None:

@@ -264,12 +264,12 @@ def enumerate_qs(spec) -> Iterator[tuple]:
 
     A search with the open-value stack: a value may be placed only when
     it is fresh or currently on top of the stack, which prunes exactly
-    the crossing patterns. A state (the stack and the copies placed)
-    with rest letters to go and f fresh values holding C copies has
-    (rest - C + 1) * rest!/(rest - f + 1)! completions, one when f = 0.
-    The search places one letter at a time until they fit one chunk of
-    at most _CHUNK characters, or two words, and yields them in one
-    string, each after the letters placed so far.
+    the crossing patterns. A state (the stack and the copies placed) has
+    _completions(rest, C, f) completions, with rest letters to go and f
+    fresh values holding C copies; from the empty state, qs_count. The
+    search places one letter at a time until they fit one chunk of at
+    most _CHUNK characters, or two words, and yields them in one string,
+    each after the letters placed so far.
 
     A state's completions are one string, joined by a marker, built from
     those of the states one letter below it: the join, over each next
@@ -375,14 +375,18 @@ def _walk(cap, unit, sep, lead):
             if placed[v] == cap[v]:
                 stack.pop()
             word.append(unit[v])
+            # more words than a chunk holds? f fresh values put at least
+            # 2^(f - 1) completions below, so a large f multiplies no big ints
+            big = parts[-1] is None and (
+                1 << fresh - 1 > most or _completions(K - len(word), copies, fresh) > most
+            )
             if fresh == 1:  # never 0: no state with one fresh value is walked below
                 # the rest is forced but for where the block of f goes in
                 # the tail, the letters that close the open values from
                 # the top down: before a letter u, it comes before every
                 # later place exactly when f < u
                 f = placed.index(0, 1)
-                if parts[-1] is None and K - len(word) - copies >= most:
-                    # more words than a chunk holds: one at a time
+                if big:  # one word at a time
                     yield from _forced(cap, unit, stack, placed, f, empty.join(word)[lead:])
                     s = None
                 else:  # the string of the state, from the end of the tail
@@ -394,11 +398,7 @@ def _walk(cap, unit, sep, lead):
                             tail = x + tail
                             s = x + s.replace(mark, mark + x)
                             s = block + tail + mark + s if f < u else s + mark + block + tail
-            elif parts[-1] is None and not (  # the count of enumerate_qs
-                # f fresh values put at least 2^(f - 1) completions below
-                1 << fresh - 1 <= most
-                and (K - len(word) - copies + 1) * perm(K - len(word), fresh - 1) <= most
-            ):
+            elif big:
                 next_try.append(1)  # walk on below this letter
                 parts.append(None)
                 continue
@@ -466,11 +466,17 @@ def _forced(cap, unit, stack, placed, f, head):
         yield head + tail[:at] + block + tail[at:]
 
 
+def _completions(rest, copies, fresh):
+    """The number of completions of a state with rest letters to go
+    and fresh unplaced values holding copies letters; qs_count and
+    _walk read it."""
+    return (rest - copies + 1) * perm(rest, fresh - 1) if fresh else 1
+
+
 def qs_count(spec) -> int:
     """Size K!/(K-n+1)! of the quasi-Stirling family of the multiset."""
     spec = _as_spec(spec)
-    # the empty multiset has one word, the empty one
-    return perm(spec.K, spec.n - 1) if spec.n else 1
+    return _completions(spec.K, spec.K, spec.n)
 
 
 def qs_polynomial(spec) -> PolyTUV:

@@ -120,7 +120,7 @@ def from_path_cycle(rep):
     The codomain size is the largest element, the domain length is that
     minus the number of paths. Raises on structural defects: elements
     missing or repeated, a path ending inside the domain, interior path
-    or cycle elements outside it.
+    elements outside it.
     """
     paths, cycles = _int_groups(rep)
     if not paths:
@@ -140,10 +140,10 @@ def from_path_cycle(rep):
             if a > d:
                 raise ValueError("interior path element %d is outside the domain" % a)
             values[a - 1] = b
+    # the n - d path ends are distinct and above d, so they are d+1..n
+    # and every cycle element lies in the domain
     for c in cycles:
         for idx, a in enumerate(c):
-            if a > d:
-                raise ValueError("cycle element %d is outside the domain" % a)
             values[a - 1] = c[(idx + 1) % len(c)]
     return PartialInj(n, values)
 

@@ -1,9 +1,12 @@
 """The boundary contract: a public call outside its documented domain
 raises ValueError at the call, never TypeError or AttributeError."""
 
+from fractions import Fraction
+
 import pytest
 
 import qstirling as q
+from qstirling import verify
 
 NOT_A_TREE = "not a tree"
 NOT_AN_INJECTION = "the injection must be a PartialInj"
@@ -92,6 +95,21 @@ CASES = [
     (q.PartialInj.from_text, (5,), "partial injection text must be a str"),
     (q.parse_tree, (5,), "tree text must be a str"),
     (q.parse_path_cycle, (5,), "path-cycle text must be a str"),
+    # sizes and forms that no answer exists for
+    (q.enumerate_perm_tuples, (0, 3), "need at least one slot"),
+    (q.from_path_cycle, (q.PathCycleRep(((),), ()),), "empty path or cycle"),
+    (
+        q.from_path_cycle,
+        (q.PathCycleRep(((4, 3), (1,)), ((2,),)),),
+        "interior path element 4 is outside the domain",
+    ),
+    (q.eulerian, (-1,), "n must be a natural number"),
+    (q.qs_polynomial_from_series, ((),), "need at least one value"),
+    (q.max_descent_count, ((),), "need at least one value"),
+    (q.perm_tuple_polynomial_formula, (0, 1), "need m >= 1 and n >= 1"),
+    (q.PolyTUV({(0, 0, 0): Fraction(1, 2)}).to_json_obj, (), "polynomial has non-integer"),
+    (q.infer_spec, ((0, ((0, ()),)),), "non-root label 0 out of range"),
+    (verify.verify_suite, (0,), "max_K must be at least 1"),
     # a polynomial is built from ((e_t, e_u, e_v), c) pairs only
     *[(q.PolyTUV, (terms,), NOT_PAIRS) for terms in (5, [5], {(1, 2): 1}, "ab")],
     # a series is built from exact coefficients only

@@ -686,6 +686,25 @@ def test_suite_vouches_for_count(monkeypatch):
     assert failed == {"thm22": 6}  # the six multisets with K <= 5 and n > 3
 
 
+def test_suite_vouches_for_the_state_count(monkeypatch):
+    # qs_count and the enumerator's chunks read one count, core._completions:
+    # off by one past three fresh values, it moves no word, and thm22 alone
+    # fails, through qs_count
+    mults = sweeps.all_mults(5) + [(1, 3, 1, 1, 3, 2)]
+    words = {mult: list(core._enumerate_qs(mult)) for mult in mults}
+    real = core._completions
+    monkeypatch.setattr(core, "_completions", lambda r, c, f: real(r, c, f) + (f > 3))
+    core._family_counts.cache_clear()
+    try:
+        assert all(list(core._enumerate_qs(mult)) == words[mult] for mult in mults)
+        ok, report = verify.verify_suite(5)
+    finally:
+        core._family_counts.cache_clear()
+    failed = {e["name"]: e["failure_count"] for e in report["checks"] if not e["pass"]}
+    assert not ok
+    assert failed == {"thm22": 6}
+
+
 def test_brute_force_counts_are_taken_once_per_multiset():
     # thm12, thm13, coro14, coro15, eq2 and eq7 share core._family_counts:
     # each multiset's words are counted once, and the verdicts stay those
@@ -809,6 +828,14 @@ def test_invalid_inputs_exit_two_without_output(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     for argv in unread:
         assert "does not read --" in run_cli(capsys, *argv)[2], argv
+
+
+def test_two_number_check_refuses_another_multiset(capsys):
+    assert run_cli(capsys, "verify", "--check", "eq5", "--mult", "1,2,3") == (
+        2,
+        "",
+        "error: this check takes --mult m,n (two numbers)\n",
+    )
 
 
 def test_argparse_level_errors(capsys):

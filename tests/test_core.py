@@ -349,6 +349,31 @@ def check_state(count, cap, stack, placed, completions):
     return len(copies)
 
 
+def test_state_count_is_the_oracles():
+    # core._completions, the count behind qs_count and the chunks, for
+    # every state met as a prefix of a word of a family with K <= 7
+    count = lru_cache(oracles.state_completions)
+    states = set()
+    for mult in sweeps.all_mults(7):
+        cap = (0,) + mult
+        states.add(((), mult))  # the empty prefix
+        for w in sweeps.qs_words(mult):
+            stack, placed = [], [0] * len(cap)
+            for v in w:
+                if not placed[v]:
+                    stack.append(v)
+                placed[v] += 1
+                if placed[v] == cap[v]:
+                    stack.remove(v)
+                left = tuple(cap[u] - placed[u] for u in stack)
+                copies = tuple(c for c, p in zip(cap[1:], placed[1:]) if not p)
+                states.add((left, copies))
+    for left, copies in states:
+        rest = sum(left) + sum(copies)
+        assert core._completions(rest, sum(copies), len(copies)) == count(left, copies)
+    assert {len(copies) for _, copies in states} == set(range(8))
+
+
 def test_memo_strings_hold_each_states_completions(monkeypatch):
     # every string that the memo keeps, for every family with K <= 7,
     # holds the completions of its state, which the key spells. The memo

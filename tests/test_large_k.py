@@ -163,9 +163,19 @@ def test_one_word_families_of_1200_letters(capsys):
 def test_shift_schedule_matches_its_definition():
     # the runs to the flattened multiset are its flattening steps; back,
     # they are those steps undone in reverse; between two multisets,
-    # the flattening of the first and then the second's undone
+    # the flattening of the first and then the second's undone, with
+    # each step that undoes the one just before it cancelled against it
     def steps(runs):
         return [(src, dst) for src, dst, count in runs for _ in range(count)]
+
+    def reduced(seq):
+        kept = []
+        for step in seq:
+            if kept and kept[-1] == step[::-1]:
+                kept.pop()
+            else:
+                kept.append(step)
+        return kept
 
     mults = sweeps.all_mults(8)
     for mult in mults:
@@ -176,12 +186,28 @@ def test_shift_schedule_matches_its_definition():
         assert up == [(dst, src) for src, dst in reversed(down)]
     small = [mult for mult in mults if sum(mult) <= 6]
     for a in small:
+        words = list(q.enumerate_qs(a))
         for b in small:
             if (len(a), sum(a)) == (len(b), sum(b)):
                 flat = q.flattened_spec(a).mult
-                assert bijections._shift_schedule(a, b) == (
-                    bijections._shift_schedule(a, flat) + bijections._shift_schedule(flat, b)
-                )
+                detour = bijections._shift_schedule(a, flat) + bijections._shift_schedule(flat, b)
+                runs = bijections._shift_schedule(a, b)
+                assert steps(runs) == reduced(steps(detour)), (a, b)
+                for w in words:
+                    there = bijections._transport(w, a, detour)
+                    assert bijections._transport(w, a, runs) == there, (a, b, w)
+
+
+def test_transport_onto_its_own_multiset_takes_no_step(monkeypatch):
+    # the flattening and its reverse cancel run by run: the word comes
+    # back as it is, and no psi step runs
+    monkeypatch.setattr(bijections, "_psi_step", None)
+    for mult in sweeps.all_mults(6):
+        for w in q.enumerate_qs(mult):
+            assert q.transport(w, q.word_spec(w)) == w
+    for mult in (LOW_STEP, FEW_VALUES, HIGH):
+        w = oracles.random_quasi_stirling(mult, seed=7)
+        assert q.transport(w, mult) == tuple(w)
 
 
 def test_stirling_recognizer_on_a_nested_word_of_two_hundred_thousand_letters():
