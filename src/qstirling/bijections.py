@@ -51,7 +51,8 @@ def _checked_word(w):
 
 def _phi(t):
     # t may be a tuple or a list tree; the stack holds labels still to
-    # write and child sequences of even vertices still to expand
+    # write and the nonempty child sequences of even vertices still to
+    # expand (an even leaf adds only its label)
     word = []
     stack = [t[1]]
     while stack:
@@ -62,7 +63,8 @@ def _phi(t):
         for r, evens in reversed(x):
             stack.append(r)
             for even in reversed(evens):
-                stack.append(even[1])
+                if even[1]:
+                    stack.append(even[1])
                 stack.append(r)
     return tuple(word)
 
@@ -86,9 +88,9 @@ def _phi_inv(w, mult):
     # child of it, and each later copy closes the even child before it
     left = [0, *mult]
     open_kids = [[]]  # child lists of the open even vertices, root first
-    evens = {}  # value -> its closed even subtrees, while r is open
+    evens = [None] * len(left)  # value -> its closed even subtrees, once seen
     for r in w:
-        done = evens.get(r)
+        done = evens[r]
         if done is None:
             done = evens[r] = []
         else:
@@ -97,7 +99,7 @@ def _phi_inv(w, mult):
         if left[r]:
             open_kids.append([])
         else:
-            open_kids[-1].append((r, tuple(evens.pop(r))))
+            open_kids[-1].append((r, tuple(done)))
     return (0, tuple(open_kids[0]))
 
 

@@ -45,17 +45,23 @@ def _parse_inj(text):
     return excedance.PartialInj.from_text(text)
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(_, sort_keys=True)
+
+
 def _emit(args, payload, line):
-    """Print the payload as JSON, or the line as text, per --format. An
-    int past the digit limit of str() is written in full all the same."""
+    """Write the payload as JSON, or the line as text, per --format, and
+    a newline, in one write. An int past the digit limit of str() is
+    written in full all the same."""
     try:
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else line)
+        text = _encode(payload) if args.format == "json" else str(line)
     except ValueError:  # str() refuses such an int: write its digits
         if args.format == "json":  # a top-level int field, unquoted
             ints = {k: "\0%s\0" % _decimal(v) for k, v in payload.items() if type(v) is int}
-            line = json.dumps({**payload, **ints}, sort_keys=True)
-            line = line.replace('"\\u0000', "").replace('\\u0000"', "")
-        print(_decimal(line) if type(line) is int else line)
+            text = _encode({**payload, **ints})
+            text = text.replace('"\\u0000', "").replace('\\u0000"', "")
+        else:
+            text = _decimal(line)
+    sys.stdout.write(text + "\n")
 
 
 def _verdict_line(ok, name, cases):
@@ -118,7 +124,7 @@ def _cmd_count(args):
 # parameter. The calls reach each package function through its module
 # when they run, so a function patched into the module is the one called
 _MAPS = {
-    "phi": ("", ("tree",), lambda t, _: core.word_to_text(
+    "phi": ("", ("tree",), lambda t, _: core._text(
         bijections.phi(trees.parse_tree(t)))),
     "phi-inv": ("", ("perm",), lambda w, _: trees.render_tree(
         bijections.phi_inv(core.word_from_text(w)))),
@@ -128,23 +134,23 @@ _MAPS = {
         bijections.psi_inv(trees.parse_tree(t), j))),
     "Psi": ("", ("tree",), lambda t, _: trees.render_tree(
         bijections.big_psi(trees.parse_tree(t)))),
-    "Phi": ("", ("perm",), lambda w, _: core.word_to_text(
+    "Phi": ("", ("perm",), lambda w, _: core._text(
         bijections.big_phi(core.word_from_text(w)))),
-    "Phi-inv": ("", ("perm", "mult"), lambda w, m, _: core.word_to_text(
+    "Phi-inv": ("", ("perm", "mult"), lambda w, m, _: core._text(
         bijections.big_phi_inv(core.word_from_text(w), core.MultisetSpec.from_text(m)))),
     "chi": ("", ("perm",), lambda w, _: excedance._render_groups(
         *excedance.to_path_cycle(excedance.chi(core.word_from_text(w))))),
-    "chi-inv": ("", ("perm",), lambda s, _: core.word_to_text(
+    "chi-inv": ("", ("perm",), lambda s, _: core._text(
         excedance.chi_inv(_parse_inj(s)))),
     "delta": ("", ("perm",), lambda w, _: excedance._render_groups(
         *excedance.to_path_cycle(excedance.delta(core.word_from_text(w))))),
-    "delta-inv": ("", ("perm",), lambda s, _: core.word_to_text(
+    "delta-inv": ("", ("perm",), lambda s, _: core._text(
         excedance.delta_inv(_parse_inj(s)))),
-    "zeta": ("", ("perm",), lambda a, _: core.word_to_text(
+    "zeta": ("", ("perm",), lambda a, _: core._text(
         bijections.zeta(bijections.perm_tuple_from_text(a)))),
-    "zeta-inv": ("", ("perm",), lambda w, _: bijections.perm_tuple_to_text(
-        bijections.zeta_inv(core.word_from_text(w)))),
-    "transport": (":<mult>", ("perm",), lambda w, target: core.word_to_text(
+    "zeta-inv": ("", ("perm",), lambda w, _: "|".join(map(core._text,
+        bijections.zeta_inv(core.word_from_text(w))))),
+    "transport": (":<mult>", ("perm",), lambda w, target: core._text(
         bijections.transport(core.word_from_text(w), target))),
 }
 
@@ -263,6 +269,11 @@ _VERBS = {
     ),
     "count": ("closed-form family size K!/(K-n+1)!", _cmd_count, _MULT | _format("json")),
 }
+# each verb's arguments before its flags are read, as argparse sets them
+_DEFAULTS = {
+    verb: {"verb": verb, "fn": fn, **{kw["dest"]: kw.get("default") for kw in options.values()}}
+    for verb, (_, fn, options) in _VERBS.items()
+}
 
 
 @functools.cache
@@ -291,11 +302,10 @@ def _plain_args(argv):
     each but --suite with a string value that does not start with "-";
     None for any other argv."""
     try:
-        verb = argv[0]
-        _, fn, options = _VERBS[verb]
+        options = _VERBS[argv[0]][2]
     except (IndexError, KeyError, TypeError):
         return None
-    args = {keywords["dest"]: keywords.get("default") for keywords in options.values()}
+    args = _DEFAULTS[argv[0]].copy()
     unseen = dict(options)
     rest = iter(argv[1:])
     for flag in rest:
@@ -311,7 +321,9 @@ def _plain_args(argv):
             if "choices" in keywords and value not in keywords["choices"]:
                 return None
         args[keywords["dest"]] = value
-    return argparse.Namespace(verb=verb, fn=fn, **args)
+    namespace = argparse.Namespace()
+    vars(namespace).update(args)  # what Namespace(**args) sets, one by one
+    return namespace
 
 
 def run(argv):

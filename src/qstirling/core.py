@@ -11,9 +11,11 @@ has all three equal to zero.
 
 A word is quasi-Stirling when no two distinct values interleave, i.e.
 there are no positions i < j < k < l with w_i = w_k, w_j = w_l and
-w_i != w_j. Equivalently the spans [first occurrence, last occurrence]
-of the distinct values form a nested family, which is what the linear
-recognizer below checks with a stack of open values.
+w_i != w_j. Nested spans [first occurrence, last occurrence] of the
+values are not enough: (1,2,1,2,1) has nested spans and the crossing
+1,2,1,2. The linear recognizer below keeps a stack of the open values:
+a repeat of v closes every value opened after v, and a closed value
+seen again is a crossing.
 
 Everything in this module is a pure function on immutable data.
 """
@@ -94,22 +96,40 @@ def _expect(obj, cls, what):
     return obj
 
 
+# the canonical numerals, built once: the text of each int 0..1023 and back
+_TABLE_END = 1024
+_NUMERAL = {v: str(v) for v in range(_TABLE_END)}
+_VALUE = {text: v for v, text in _NUMERAL.items()}
+
+
 def _numbers(text, what, whole=None, strip=False):
     """The comma-separated integers in text, () if it is empty. Every
     number the program reads as text comes through here, but for tree
-    labels: trees._parse_label reads a run of ASCII digits. int() alone
-    would also read a digit of another script ('\u0663' is 3), a '_'
-    ('1_0' is 10) and a '+' sign, so any of these is a ValueError naming
-    whole, the text the numbers came from. strip=True strips the text
-    after that check, so a blank text is () but an NBSP is still refused."""
+    labels: trees._parse_label reads a run of ASCII digits. A text of
+    canonical numerals 0..1023 is read from the table; any other goes to
+    int(), which alone would also read a digit of another script
+    ('\u0663' is 3), a '_' ('1_0' is 10) and a '+' sign, so any of these
+    is a ValueError naming whole, the text the numbers came from.
+    strip=True strips the text after that check, so a blank text is ()
+    but an NBSP is still refused."""
+    if not text:  # () as below; a tuple text has many empty parts
+        return ()
+    pieces = text.split(",")
+    try:  # a word of fewer than 1024 letters has no value past 1023
+        if len(pieces) < _TABLE_END:
+            return tuple(map(_VALUE.__getitem__, pieces))
+    except KeyError:  # a piece that is no canonical numeral 0..1023
+        pass
     try:
         if text.isascii() and "_" not in text and "+" not in text:
             body = text.strip() if strip else text
-            return tuple(map(int, body.split(","))) if body else ()
+            if body != text:
+                pieces = body.split(",")
+            return tuple(map(int, pieces)) if body else ()
     except ValueError:
         # int() refuses a number past sys.get_int_max_str_digits() digits
         limit = getattr(sys, "get_int_max_str_digits", int)()
-        for number in body.split(","):
+        for number in pieces:
             digits = number.strip().lstrip("-")
             if limit and len(digits) > limit and digits.isdigit():
                 raise ValueError(
@@ -135,6 +155,17 @@ def word_to_text(word):
         return ",".join(map(int.__repr__, word))
     except TypeError:  # word is no sequence, or a value no int
         raise ValueError("word values must be integers") from None
+
+
+def _text(word):
+    """word_to_text of a word of ints the package made, each int 0..1023
+    from the table; word_to_text writes a longer word or any other value."""
+    try:
+        if len(word) < _TABLE_END:
+            return ",".join(map(_NUMERAL.__getitem__, word))
+    except (KeyError, TypeError):
+        pass
+    return word_to_text(word)
 
 
 def word_spec(word):

@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .core import _complement, _expect, _flat_word, _indexable, _integers, _numbers
-from .core import word_to_text
+from .core import _text, word_to_text
 
 
 class PartialInj:
@@ -155,8 +155,8 @@ def render_path_cycle(rep):
 def _render_groups(paths, cycles):
     """The text of a path-cycle form whose paths and cycles are sequences
     of ints, as to_path_cycle builds them: read as it is, unchecked."""
-    text = "".join("<%s>" % word_to_text(p) for p in paths)
-    return text + "".join("(%s)" % word_to_text(c) for c in cycles)
+    text = "".join("<%s>" % _text(p) for p in paths)
+    return text + "".join("(%s)" % _text(c) for c in cycles)
 
 
 def _int_groups(rep):

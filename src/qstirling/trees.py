@@ -23,7 +23,7 @@ zeros.
 from itertools import permutations, product
 from typing import NamedTuple, Optional
 
-from .core import MultisetSpec, _as_spec, _expect, _indexable
+from .core import _NUMERAL, _TABLE_END, MultisetSpec, _as_spec, _expect, _indexable
 
 _NOT_A_TREE = "not a tree: each node must be a (label, children) pair with iterable children"
 
@@ -38,7 +38,9 @@ class TreeStats(NamedTuple):
 
 def render_tree(t):
     """The text form of a tree, written from an explicit stack of
-    subtrees and the literal ")" and "," that follow them."""
+    subtrees and the literal ")" and "," that follow them. An int label
+    0..1023 is written from the table of core._text, any other label as
+    str() writes it, or "%d" before its children."""
     out = []
     stack = [t]
     try:
@@ -48,10 +50,15 @@ def render_tree(t):
                 out.append(x)
                 continue
             label, children = x
-            if not children:
+            if label.__class__ is int and 0 <= label < _TABLE_END:
+                out.append(_NUMERAL[label])
+            elif children:  # past the table, or no int: a bool, a float
+                out.append("%d" % label)
+            else:
                 out.append(str(label))
+            if not children:
                 continue
-            out.append("%d(" % label)
+            out.append("(")
             stack.append(")")
             for child in children[:0:-1]:
                 stack.append(child)

@@ -273,6 +273,101 @@ def test_number_past_the_digit_limit_is_named(capsys):
     assert "ASCII" not in err
 
 
+# every wire reader of a number the CLI reaches, "{}" where the number goes
+NUMBER_READERS = {
+    "--mult": [
+        ("count", "--mult", "{}"),
+        ("enumerate", "--mult", "{}"),
+        ("poly", "--mult", "{}"),
+        ("verify", "--check", "thm22", "--mult", "{}"),
+        ("map", "--which", "Phi-inv", "--perm", "1,1,2", "--mult", "{}"),
+        ("map", "--which", "transport:{}", "--perm", "1,1,2"),
+    ],
+    "--perm": [
+        ("stats", "--perm", "{}"),
+        ("map", "--which", "Phi", "--perm", "{}"),
+        ("map", "--which", "phi-inv", "--perm", "{}"),
+        ("map", "--which", "zeta", "--perm", "{}"),
+        ("map", "--which", "chi-inv", "--perm", "3:{}"),
+    ],
+    "--max-K": [
+        ("verify", "--check", "thm22", "--max-K", "{}"),
+        ("verify", "--suite", "--max-K", "{}"),
+    ],
+    "--order": [("verify", "--check", "eq2", "--order", "{}")],
+    "psi:<j>": [
+        ("map", "--which", "psi:{}", "--tree", "0(1,2(2))"),
+        ("map", "--which", "psi-inv:{}", "--tree", "0(1,2(2))"),
+    ],
+}
+MALFORMED_NUMBERS = ["1,,2", "1_0", "+1", "\u0661", "x", "1.5", "1e3", "0x1", "1 2", "2,\u00a01"]
+MALFORMED_NUMBERS += ["9" * 5000]  # past the limit on integer text
+
+
+@pytest.mark.parametrize("reader", sorted(NUMBER_READERS))
+def test_malformed_numbers_exit_two(capsys, reader):
+    # a number a reader refuses is invalid input: exit 2 with one error
+    # line and nothing on stdout, never a crash (exit 3)
+    bad = MALFORMED_NUMBERS + (["1,2", ""] if reader in ("--max-K", "--order", "psi:<j>") else [])
+    for template in NUMBER_READERS[reader]:
+        for number in bad:
+            argv = [arg.replace("{}", number) for arg in template]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+class WriteLog:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+ONE_WRITE_ANSWERS = [
+    (("map", "--which", "Phi", "--perm", "3,1,1,3,2,2,3"), "1,1,2,1,3,1,1\n"),
+    (("map", "--which", "phi-inv", "--perm", "1,2,2,1", "--format", "json"),
+     '{"result": "0(1(1(2(2))))"}\n'),
+    (("map", "--which", "delta", "--perm", "1,3,1,2,1"), "<3><1,4><2,5>\n"),
+    (("map", "--which", "zeta-inv", "--perm", "1,3,1,2,1"), "1|3|2\n"),
+    (("count", "--mult", "2,2"), '{"K": 4, "count": 4, "mult": "2,2", "n": 2}\n'),
+    (("count", "--mult", "2,2", "--format", "lines"), "4\n"),
+    (("stats", "--perm", "1,2,2,1"), '{"asc": 2, "des": 2, "plat": 1}\n'),
+    (("poly", "--mult", "2,1", "--format", "lines"), "t*u^2*v + t^2*u*v + t^2*u^2\n"),
+    (("poly", "--mult", "2,1"), '[{"c": "1", "t": 1, "u": 2, "v": 1}, {"c": "1", "t": 2, '
+     '"u": 1, "v": 1}, {"c": "1", "t": 2, "u": 2, "v": 0}]\n'),
+    (("verify", "--check", "thm22", "--mult", "2,1"), '{"cases": 3, "check": "thm22", "pass": true}\n'),
+    (("verify", "--suite", "--max-K", "3", "--format", "lines"),
+     "".join("PASS %s (cases=%d)\n" % pair for pair in [
+         ("thm22", 17), ("thm23", 3), ("thm11", 17), ("thm12", 7), ("thm13", 7), ("coro14", 7),
+         ("coro15", 7), ("eq2", 7), ("eq5", 6), ("eq7", 6), ("zeta", 14), ("eq4", 14)]) + "PASS\n"),
+]
+
+
+def test_each_answer_is_one_write(monkeypatch):
+    # the answer and its newline go out in one write, with the bytes the
+    # verbs have always printed; a count past str()'s digit limit too
+    mult = ",".join(["1"] * 2000)
+    count = core.qs_count((1,) * 2000)
+    payload = {"mult": mult, "n": 2000, "K": 2000, "count": count}
+    answers = ONE_WRITE_ANSWERS + [
+        (("count", "--mult", mult), lifted(json.dumps, payload, sort_keys=True) + "\n"),
+        (("count", "--mult", mult, "--format", "lines"), lifted(str, count) + "\n"),
+    ]
+    for argv, answer in answers:
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert cli.run(list(argv)) == 0, argv
+        assert log.writes == [answer], argv
+
+
 def test_map_phi_round_trip(capsys):
     code, out, _ = run_cli(capsys, "map", "--which", "phi", "--tree", FIGURE_TREE)
     assert (code, out) == (0, FIGURE_WORD_TEXT + "\n")

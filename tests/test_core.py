@@ -2,6 +2,7 @@
 definitional oracles."""
 
 import hashlib
+import random
 import sys
 import time
 import tracemalloc
@@ -35,6 +36,48 @@ def test_word_wire_round_trip():
 def test_word_from_text_rejects(bad):
     with pytest.raises(ValueError):
         q.word_from_text(bad)
+
+
+def test_number_table_agrees_with_the_general_reader(monkeypatch):
+    # the table answers a text of canonical numerals 0..1023; emptied,
+    # it sends every text to the general reader, whose tuple or exact
+    # message the table path must give
+    rng = random.Random(38)
+    edges = ["0", "1023", "1024", str(10**5), "01", "-1", "+1", " 1", "1_0", "\u0661"]
+    texts = edges + ["1,,2", "", "9" * 4301, " 1,2 ", "1,2\n", "\u00a01", "\x1c1,2\x1f"]
+    tokens = ["0", "1", "7", "25", "999", "1023"] * 4 + edges + ["", "x", "1.5"]
+    texts += [",".join(rng.choices(tokens, k=rng.randint(1, 8))) for _ in range(600)]
+    texts += [",".join(map(str, range(1, n))) for n in (1024, 1025, 1030)]
+
+    def reads(strip):
+        out = []
+        for text in texts:
+            try:
+                out.append(core._numbers(text, "word text", "whole", strip))
+            except ValueError as e:
+                out.append(str(e))
+        return out
+
+    with_table = [reads(False), reads(True)]
+    assert sum(type(x) is tuple for x in with_table[0]) > 100  # the table ran
+    monkeypatch.setattr(core, "_VALUE", {})
+    assert with_table == [reads(False), reads(True)]
+    assert with_table[0][texts.index("")] == ()
+    # str.strip() takes off what int() would not: "\x1c1" is no number
+    assert with_table[1][texts.index("\x1c1,2\x1f")] == (1, 2)
+    assert type(with_table[0][texts.index("\x1c1,2\x1f")]) is str
+
+
+def test_trusted_writer_agrees_with_word_to_text():
+    rng = random.Random(38)
+    words = [(), (0,), (1023,), (1024,), (10**5,), (1, 1023, 1024, 2), (-1, 5), (True, 2)]
+    words += [tuple(range(1, n)) for n in (1024, 1025, 1030)]
+    words += [(1,) * 1024, (1023,) * 1023]
+    words += [tuple(rng.choices((1, 2, 512, 1023, 1024, 5000), k=rng.randint(1, 9))) for _ in range(300)]
+    for word in words:
+        assert core._text(word) == core.word_to_text(word), word
+    with pytest.raises(ValueError, match="must be integers"):
+        core._text((1, 2.5))
 
 
 # reader: (writer, objects)

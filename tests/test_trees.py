@@ -22,6 +22,22 @@ def test_parse_render_round_trip():
         assert q.render_tree(t) == text
 
 
+def test_render_writes_labels_past_the_table_as_before():
+    # int labels 0..1023 come from the number table; a bool, a float, a
+    # negative or a larger label is written by str(), or "%d" before "("
+    trees = {
+        (0, ((True, ()),)): "0(True)",
+        (0, ((2.5, ((2.5, ()),)),)): "0(2(2.5))",
+        (0, ((1024, ((1024, ()),)), (1023, ()))): "0(1024(1024),1023)",
+        (True, ((1, ()),)): "1(1)",
+        (10**5, ()): "100000",
+        (-3, ((1, ()),)): "-3(1)",
+        (1.0, ((False, ()),)): "1(False)",
+    }
+    for t, text in trees.items():
+        assert q.render_tree(t) == text
+
+
 def test_parse_shapes():
     assert q.parse_tree("0") == (0, ())
     assert q.parse_tree("0(1)") == (0, ((1, ()),))
